@@ -51,9 +51,9 @@ RULE_BAD_ANNOTATION = "bad-annotation"
 RULE_PLAINTEXT_TAINT = "plaintext-taint"
 
 # --- Leakage-contract pass (PR 10) ---------------------------------------
-#: An ``@ecall`` entry point or wire verb without a declared leakage
-#: contract in :data:`repro.analysis.leakage.ECALL_CONTRACTS` /
-#: :data:`~repro.analysis.leakage.VERB_CONTRACTS`.
+#: An ``@ecall`` entry point without a declared leakage contract in
+#: :data:`repro.analysis.leakage.ECALL_CONTRACTS`. (Wire verbs cannot be
+#: undeclared: their contract is a field of ``repro.net.verbs.Verb``.)
 RULE_UNDECLARED_CONTRACT = "undeclared-contract"
 #: A response-constructing site whose declared shaping helpers (padding,
 #: uniform frame sizing, ordinal-bound clamping, redaction) never appear in

@@ -15,14 +15,16 @@ This pass makes those contracts *data* and machine-checks them:
   enclave entry point cannot ship without stating its leakage. A declared
   contract whose shaping helpers never appear in the body is an error too
   (``unshaped-response``): the promise exists but is not applied.
-- :data:`VERB_CONTRACTS` does the same for the wire surface: every key of
-  ``repro.net.server.RPC_METHODS`` must carry a contract, and the server
-  module must route failures through ``redact_exception`` (the error-frame
-  shaping all verbs share).
+- :data:`VERB_CONTRACTS` is the same statement for the wire surface, but
+  not a second registry: it is derived from the one verb table
+  (:data:`repro.net.verbs.VERBS`), where ``observables`` and ``shaping``
+  are fields a verb cannot be constructed without. What stays a lint rule
+  is that the server module routes failures through ``redact_exception``
+  (the error-frame shaping all verbs share) and references every declared
+  shaping helper.
 
-``tests/analysis/test_leakage_contracts.py`` pins both registries against
-the runtime (``ECALL_CONTRACTS`` keys == ``REGISTERED_ECALLS``;
-``VERB_CONTRACTS`` keys == the live ``RPC_METHODS``), so registry drift
+``tests/analysis/test_leakage_contracts.py`` pins ``ECALL_CONTRACTS``
+against the runtime (keys == ``REGISTERED_ECALLS``), so registry drift
 fails CI from both directions.
 """
 
@@ -37,9 +39,10 @@ from repro.analysis.findings import (
     Finding,
 )
 from repro.analysis.taint import is_ecall_def
+from repro.net.verbs import VERBS
 
 SERVER_MODULE = "repro.net.server"
-RPC_TABLE_NAME = "RPC_METHODS"
+VERB_TABLE_NAME = "VERBS"
 ERROR_SHAPER = "redact_exception"
 
 
@@ -61,10 +64,6 @@ class LeakageContract:
 
 def _ecall(name: str, observables: str, *shaping: str) -> tuple[str, LeakageContract]:
     return name, LeakageContract(name, "ecall", observables, shaping)
-
-
-def _verb(name: str, observables: str, *shaping: str) -> tuple[str, LeakageContract]:
-    return name, LeakageContract(name, "verb", observables, shaping)
 
 
 #: Per-ecall leakage contracts. Keys are asserted equal to
@@ -161,70 +160,25 @@ ECALL_CONTRACTS: dict[str, LeakageContract] = dict(
     ]
 )
 
-#: Per-wire-verb leakage contracts. Keys are asserted equal to the live
-#: ``repro.net.server.RPC_METHODS`` keys by the test suite. All verbs share
-#: the error-frame contract (typed kind + scrubbed message via
-#: ``redact_exception``); ``shaping`` lists any additional helper the
+#: Per-wire-verb leakage contracts: a view of the verb table, not a copy.
+#: All verbs share the error-frame contract (typed kind + scrubbed message
+#: via ``redact_exception``); ``shaping`` lists any additional helper the
 #: server module must reference for that verb family.
-VERB_CONTRACTS: dict[str, LeakageContract] = dict(
-    [
-        _verb("create_table", "schema shape (names, kinds, widths)"),
-        _verb("bulk_load", "ciphertext partition sizes and counts"),
-        _verb("execute_select", "result frame byte size; encrypted rows"),
-        _verb(
-            "execute_select_pushdown",
-            "padded group-frame count and uniform frame size (see "
-            "aggregate_groups)",
-        ),
-        _verb(
-            "explain_pushdown",
-            "plan routing text — operator names and cost classes only, "
-            "never values",
-        ),
-        _verb("execute_join_select", "joined result frame byte size"),
-        _verb("execute_insert", "one ack; delta append count"),
-        _verb("execute_delete", "deleted-row count"),
-        _verb("delete_record_ids", "deleted-row count"),
-        _verb("execute_merge", "merged partition count"),
-        _verb("save", "snapshot byte size on the server disk"),
-        _verb("table_names", "table name list (schema is not protected)"),
-        _verb("table_specs", "schema shape per table"),
-        _verb("cost_snapshot", "aggregate ecall/decrypt counters"),
-        _verb("enclave_seal", "one fixed-size sealed blob"),
-        _verb("enclave_restore", "one ack"),
-        _verb(
-            "enclave_replicate_key",
-            "one DH public value + one fixed-size PAE blob (relay-opaque)",
-        ),
-        _verb("enclave_is_provisioned", "one boolean"),
-        _verb("migrate_start", "typed MigrationStatus progress frame"),
-        _verb("migrate_step", "typed MigrationStatus progress frame"),
-        _verb("migrate_run", "typed MigrationStatus progress frame"),
-        _verb("migrate_status", "typed MigrationStatus progress frame"),
-        _verb("migrate_rollback", "typed MigrationStatus progress frame"),
-    ]
-)
+VERB_CONTRACTS: dict[str, LeakageContract] = {
+    verb.name: LeakageContract(verb.name, "verb", verb.observables, verb.shaping)
+    for verb in VERBS.values()
+}
 
 
-def _body_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Every Name id / Attribute attr referenced inside a function body."""
+def _referenced_names(*roots: ast.AST) -> set[str]:
+    """Every Name id / Attribute attr referenced under ``roots``."""
     names: set[str] = set()
-    for stmt in node.body:
-        for sub in ast.walk(stmt):
+    for root in roots:
+        for sub in ast.walk(root):
             if isinstance(sub, ast.Name):
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 names.add(sub.attr)
-    return names
-
-
-def _module_names(tree: ast.AST) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
     return names
 
 
@@ -260,7 +214,7 @@ def check(tree: ast.AST, *, module: str, path: str) -> list[Finding]:
                 node.name,
             )
             continue
-        referenced = _body_names(node)
+        referenced = _referenced_names(*node.body)
         for helper in contract.shaping:
             if helper not in referenced:
                 report(
@@ -272,37 +226,14 @@ def check(tree: ast.AST, *, module: str, path: str) -> list[Finding]:
                     helper,
                 )
 
-    # ---- verb contracts: the wire table carries no unknown verbs -----
+    # ---- verb contracts: the dispatcher applies the shared shaping ----
+    # A snippet merely *claiming* the server module name (fixtures,
+    # unit-test sources) is not the wire surface; anchor the module-wide
+    # shaping checks on the dispatcher's use of the verb table.
     if module == SERVER_MODULE:
-        found_table = False
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if RPC_TABLE_NAME not in targets or not isinstance(node.value, ast.Dict):
-                continue
-            found_table = True
-            for key in node.value.keys:
-                if not isinstance(key, ast.Constant) or not isinstance(
-                    key.value, str
-                ):
-                    continue
-                verb = key.value
-                if verb not in VERB_CONTRACTS:
-                    report(
-                        RULE_UNDECLARED_CONTRACT,
-                        key.lineno,
-                        f"wire verb {verb!r} has no declared leakage "
-                        "contract; add one to analysis.leakage."
-                        "VERB_CONTRACTS before exposing it",
-                        verb,
-                    )
-        # A snippet merely *claiming* the server module name (fixtures,
-        # unit-test sources) is not the wire surface; anchor the
-        # module-wide shaping checks on the RPC table being present.
-        if not found_table:
+        module_refs = _referenced_names(tree)
+        if VERB_TABLE_NAME not in module_refs:
             return findings
-        module_refs = _module_names(tree)
         if ERROR_SHAPER not in module_refs:
             report(
                 RULE_UNSHAPED_RESPONSE,

@@ -88,6 +88,7 @@ MODULE_TRUST: dict[str, str] = {
     "repro.net.server": TRUST_UNTRUSTED,
     "repro.net.protocol": TRUST_UNTRUSTED,
     "repro.net.errors": TRUST_UNTRUSTED,
+    "repro.net.verbs": TRUST_PUBLIC,  # the verb table: pure data
     "repro.net.client": TRUST_OWNER,
     "repro.security": TRUST_UNTRUSTED,
     # Benchmark workloads run against the *public* query API but execute on

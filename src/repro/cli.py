@@ -433,8 +433,6 @@ def migrate_main(argv: list[str]) -> int:
             statuses = [server.migrate_rollback(args.table, args.column)]
         else:
             statuses = server.migrate_status(args.table, args.column)
-            if not isinstance(statuses, list):
-                statuses = [statuses]
         lines = migration_lines(statuses)
         print("\n".join(lines) if lines else "(no migrations)", flush=True)
         failed = [s for s in statuses if s.state == "failed"]

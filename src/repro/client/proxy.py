@@ -172,7 +172,7 @@ class Proxy:
     def _describe_batching(self, plan) -> str | None:
         """Annotate plans the server will run through ``dict_search_batch``."""
         fastpath = getattr(self._server, "fastpath", None)
-        if fastpath is None or not fastpath.batching_enabled:
+        if fastpath is None or not fastpath.enabled:
             return None
         filters: list[tuple[str, FilterPlan | None]] = []
         if isinstance(plan, (SelectPlan, DeletePlan)):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from repro.client.owner import DataOwner
 from repro.client.proxy import Proxy
+from repro.client.session import EncDBDBSystem
 from repro.cluster.router import ClusterRouter
 from repro.cluster.shardmap import ShardMap, TableAssignment
 from repro.crypto.drbg import HmacDrbg
@@ -86,11 +87,8 @@ class ClusterCoordinator:
         return keyed
 
     # ------------------------------------------------------------------
-    # Schema + data deployment
+    # Data deployment
     # ------------------------------------------------------------------
-    def create_table(self, plan) -> None:
-        self.router.create_table(plan)
-
     def deploy_table(
         self,
         table_name: str,
@@ -162,16 +160,11 @@ def pull_master_key_from(
     :class:`RetryPolicy` a replica may be started before its primary and
     will keep knocking until the primary is up and provisioned.
     """
-    offer = dbms.enclave_channel_offer()
     connection = NetConnection(host, port, timeout=timeout, retry=retry)
     try:
-        client_public, wire_blob = RemoteServer(connection).enclave_replicate_key(
-            offer
-        )
+        replicate_key(RemoteServer(connection), dbms)
     finally:
         connection.close()
-    dbms.enclave_channel_accept(client_public)
-    dbms.enclave_provision(wire_blob)
 
 
 def _sized(values) -> list:
@@ -183,26 +176,28 @@ def _sized(values) -> list:
     return values
 
 
-class ClusterSystem:
+class ClusterSystem(EncDBDBSystem):
     """Application-facing cluster session: coordinator + router + proxy.
 
-    The cluster twin of :class:`~repro.client.session.EncDBDBSystem` — same
-    ``execute``/``query``/``bulk_load`` surface, with the server side being
-    the scatter-gather router.
+    An :class:`~repro.client.session.EncDBDBSystem` whose server is the
+    scatter-gather router (which answers the whole verb surface), so
+    ``execute`` / ``query`` / ``migrate`` / ``close`` are inherited; only
+    standing the fleet up and deploying data differ.
     """
 
     def __init__(
         self, coordinator: ClusterCoordinator, proxy: Proxy
     ) -> None:
+        super().__init__(coordinator.router, coordinator.owner, proxy)
         self.coordinator = coordinator
         self.router = coordinator.router
-        self.owner = coordinator.owner
-        self.proxy = proxy
 
-    @property
-    def server(self):
-        """The router, presenting the server surface (shell compatibility)."""
-        return self.router
+    @classmethod
+    def create(cls, **_options) -> "ClusterSystem":
+        raise TypeError(
+            "a cluster is stood up over a shard map of running servers: "
+            "use ClusterSystem.connect(shard_map, ...)"
+        )
 
     @classmethod
     def connect(
@@ -240,17 +235,6 @@ class ClusterSystem:
         return cls(coordinator, proxy)
 
     # ------------------------------------------------------------------
-    def execute(self, sql: str):
-        return self.proxy.execute(sql)
-
-    def query(self, sql: str):
-        from repro.sql.result import QueryResult
-
-        result = self.proxy.execute(sql)
-        if not isinstance(result, QueryResult):
-            raise TypeError("query() is only for SELECT statements")
-        return result
-
     def explain(self, sql: str) -> str:
         return self.proxy.explain(sql)
 
@@ -270,15 +254,3 @@ class ClusterSystem:
             max_workers=max_workers,
             executor=executor,
         )
-
-    def save(self, path) -> None:
-        self.router.save(path)  # raises ClusterError: persist per shard
-
-    def close(self) -> None:
-        self.coordinator.close()
-
-    def __enter__(self) -> "ClusterSystem":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

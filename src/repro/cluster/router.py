@@ -29,18 +29,28 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from repro.cluster.shardmap import Shard, ShardMap, TableAssignment
+from repro.cluster.shardmap import Shard, ShardMap
 from repro.exceptions import ClusterError, NetworkError, QueryError
 from repro.net.client import (
     FrameTap,
     NetConnection,
     RemoteServer,
     RetryPolicy,
-    _RemoteTable,
+    VerbClient,
+    install_verbs,
+)
+from repro.net.verbs import (
+    EVERY_SHARD,
+    FIRST_SHARD,
+    REPLICAS_REACHABLE,
+    REPLICAS_STRICT,
+    SHARDS_SUM,
+    TAIL_BROADCAST,
+    VERBS,
 )
 from repro.runtime import CLUSTER_POOL, shared_pool
 from repro.sql.result import (
@@ -50,6 +60,11 @@ from repro.sql.result import (
     RoutingDecision,
     ServerResult,
 )
+
+
+#: Which answers a :meth:`ShardGroup.fan_out` caller requires of a shard's
+#: replicas (see that method).
+ONE, SOME, ALL, REACHABLE = "one", "some", "all", "reachable"
 
 
 class EndpointPool:
@@ -109,13 +124,14 @@ class EndpointPool:
             )
         )
 
-    def _checkout(self) -> RemoteServer:
+    def _checkout(self) -> tuple[RemoteServer, bool]:
+        """A pooled idle connection (``True``: reused) or a fresh one."""
         with self._lock:
             if self._closed:
                 raise ClusterError(f"endpoint pool {self.address} is closed")
             if self._idle:
-                return self._idle.pop()
-        return self._connect(self.retry)
+                return self._idle.pop(), True
+        return self._connect(self.retry), False
 
     def _checkin(self, server: RemoteServer) -> None:
         with self._lock:
@@ -129,7 +145,7 @@ class EndpointPool:
         """One connection, held across every request issued inside the
         block (required by session-bound sequences like provisioning)."""
         with self._slots:
-            server = self._checkout()
+            server, _reused = self._checkout()
             try:
                 yield server
             except NetworkError:
@@ -156,34 +172,27 @@ class EndpointPool:
         skipped as "replica stale" even though the replica is back.
         """
         with self._slots:
-            with self._lock:
-                if self._closed:
-                    raise ClusterError(f"endpoint pool {self.address} is closed")
-                reused = self._idle.pop() if self._idle else None
-            server = reused if reused is not None else self._connect(self.retry)
-            for attempt in (0, 1):
+            server, reused = self._checkout()
+            try:
                 try:
                     value = getattr(server, method)(*args, **kwargs)
                 except NetworkError:
+                    if not reused:
+                        raise
                     server.close()
-                    if attempt == 0 and reused is not None:
-                        try:
-                            server = self._connect(RetryPolicy.none())
-                        except NetworkError:
-                            self.mark_failed()
-                            raise
-                        continue
-                    self.mark_failed()
-                    raise
-                except BaseException:
-                    self._checkin(server)  # typed server errors leave it usable
-                    raise
-                else:
-                    self._checkin(server)
-                    with self._lock:
-                        self._healthy = True
-                    return value
-            raise AssertionError("unreachable")  # pragma: no cover
+                    server = self._connect(RetryPolicy.none())
+                    value = getattr(server, method)(*args, **kwargs)
+            except NetworkError:
+                server.close()
+                self.mark_failed()
+                raise
+            except BaseException:
+                self._checkin(server)  # typed server errors leave it usable
+                raise
+            self._checkin(server)
+            with self._lock:
+                self._healthy = True
+            return value
 
     # -- health (periodic re-probe; a restarted server rejoins) ----------
     def mark_failed(self) -> None:
@@ -264,131 +273,122 @@ class ShardGroup:
         ]
         return rotated + [i for i in range(len(self.pools)) if i not in healthy]
 
-    def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Run one RPC on the first endpoint that answers.
+    def fan_out(self, need: str, method: str, *args: Any, **kwargs: Any) -> list:
+        """Run one RPC on this shard's endpoints — the one loop every route
+        goes through. ``need`` says which answers the caller requires:
 
-        Only transport failures fail over — a typed server error (query,
-        catalog, security) is an *answer* and propagates as-is, so replicas
-        are never asked to re-run a semantically rejected request.
+        - :data:`ONE` — the first endpoint that answers, healthy ones first
+          (reads).
+        - :data:`SOME` — every endpoint; a replica that is down simply
+          misses the write (it is stale, not inconsistent, and the topology
+          treats it as failed), but at least one must answer.
+        - :data:`ALL` — every endpoint, and an unreachable one aborts
+          loudly (a replica silently missing a rotation would adopt a
+          different schema than its peers: divergence, not staleness).
+        - :data:`REACHABLE` — every endpoint that answers, possibly none
+          (observing is not mutating).
+
+        Only transport failures are tolerated — a typed server error
+        (query, catalog, security) is an *answer* and propagates as-is, so
+        replicas are never asked to re-run a semantically rejected request.
         """
+        order = self._order() if need == ONE else range(len(self.pools))
+        values: list = []
         failures: list[str] = []
-        for index in self._order():
+        for index in order:
             pool = self.pools[index]
             try:
-                value = pool.call(method, *args, **kwargs)
+                values.append(pool.call(method, *args, **kwargs))
             except NetworkError as exc:
+                if need == ALL:
+                    raise ClusterError(
+                        f"shard {self.shard.shard_id}: {method!r} needs every "
+                        f"replica, but {pool.address} failed: {exc}"
+                    ) from exc
                 failures.append(f"{pool.address}: {exc}")
                 continue
-            return value
-        raise ClusterError(
-            f"shard {self.shard.shard_id}: every endpoint failed "
-            f"({'; '.join(failures)})"
-        )
+            if need == ONE:
+                break
+        if not values and need != REACHABLE:
+            raise ClusterError(
+                f"shard {self.shard.shard_id}: {method!r}: every endpoint "
+                f"failed ({'; '.join(failures)})"
+            )
+        return values
+
+    def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
+        """One read: the answer of the first endpoint that gives one."""
+        return self.fan_out(ONE, method, *args, **kwargs)[0]
 
     def broadcast(self, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Run one RPC on **every** reachable endpoint (replica writes).
-
-        Returns the first successful result; raises only when no endpoint
-        succeeded. A replica that is down simply misses the write — it is
-        stale, not inconsistent, and the topology treats it as failed.
-        """
-        result = None
-        succeeded = False
-        failures: list[str] = []
-        for pool in self.pools:
-            try:
-                value = pool.call(method, *args, **kwargs)
-            except NetworkError as exc:
-                failures.append(f"{pool.address}: {exc}")
-                continue
-            if not succeeded:
-                result = value
-                succeeded = True
-        if not succeeded:
-            raise ClusterError(
-                f"shard {self.shard.shard_id}: broadcast {method!r} failed "
-                f"on every endpoint ({'; '.join(failures)})"
-            )
-        return result
-
-    def broadcast_all(self, method: str, *args: Any, **kwargs: Any) -> list[Any]:
-        """Run one RPC on every endpoint, requiring **all** to succeed.
-
-        Migration verbs use this instead of :meth:`broadcast`: a replica
-        that silently misses a rotation would adopt a different schema than
-        its peers, which is divergence, not staleness — so an unreachable
-        endpoint aborts the verb loudly.
-        """
-        values = []
-        for pool in self.pools:
-            try:
-                values.append(pool.call(method, *args, **kwargs))
-            except NetworkError as exc:
-                raise ClusterError(
-                    f"shard {self.shard.shard_id}: {method!r} needs every "
-                    f"replica, but {pool.address} failed: {exc}"
-                ) from exc
-        return values
-
-    def broadcast_each(self, method: str, *args: Any, **kwargs: Any) -> list[Any]:
-        """Run one RPC on every endpoint that answers; skip the dead ones.
-
-        The read-only companion of :meth:`broadcast_all` (migration
-        *status* wants the reachable endpoints' view even when a replica is
-        down — observing is not mutating)."""
-        values = []
-        for pool in self.pools:
-            try:
-                values.append(pool.call(method, *args, **kwargs))
-            except NetworkError:
-                continue
-        return values
+        """One replicated write: the first reachable endpoint's answer."""
+        return self.fan_out(SOME, method, *args, **kwargs)[0]
 
     def close(self) -> None:
         for pool in self.pools:
             pool.close()
 
 
-class _RouterCostModel:
-    """Aggregated cost-model view (drives the shell's ``.stats``)."""
-
-    def __init__(self, router: "ClusterRouter") -> None:
-        self._router = router
-
-    def snapshot(self) -> dict:
-        return self._router.cost_snapshot()
-
-    @property
-    def ecalls(self) -> int:
-        return self.snapshot()["ecalls"]
-
-    @property
-    def decryptions(self) -> int:
-        return self.snapshot()["decryptions"]
-
-    @property
-    def untrusted_loads(self) -> int:
-        return self.snapshot()["untrusted_loads"]
-
-    def estimated_cycles(self) -> float:
-        return self.snapshot()["estimated_cycles"]
+def _cluster_note(pushed: bool, reason: str) -> tuple[RoutingDecision]:
+    """The router's own line in a pushdown routing report (EXPLAIN)."""
+    return (RoutingDecision("cluster", pushed, reason),)
 
 
-class _RouterCatalog:
-    """Schema-only catalog shim, served by shard 0 (all shards agree)."""
-
-    def __init__(self, router: "ClusterRouter") -> None:
-        self._router = router
-
-    def table_names(self) -> list[str]:
-        return self._router.group(0).call("table_names")
-
-    def table(self, name: str) -> _RemoteTable:
-        return _RemoteTable(name, self._router.group(0).call("table_specs", name))
+def _first(per_group: list[list]) -> Any:
+    return per_group[0][0]
 
 
-class ClusterRouter:
-    """The scatter-gather client of a replicated EncDBDB cluster."""
+def _flatten(per_group: list[list]) -> list:
+    """Per-endpoint answers in span order (endpoint order within a shard),
+    so migration progress reads top-to-bottom as the data lays out."""
+    flat: list = []
+    for values in per_group:
+        for value in values:
+            flat.extend(value if isinstance(value, list) else [value])
+    return flat
+
+
+def _tail_shard(router: "ClusterRouter", table_name: str) -> list[ShardGroup]:
+    """Writes land on the shard holding the table's tail, keeping delta
+    RecordIDs globally contiguous."""
+    assignment = router.shard_map.assignment(table_name)
+    if assignment is None:
+        return router.groups[:1]
+    return [router.groups[assignment.last_span().shard_id]]
+
+
+def _table_shards(router: "ClusterRouter", table_name: str) -> list[ShardGroup]:
+    """Populated shard groups of ``table_name``, span-ordered."""
+    return list(
+        dict.fromkeys(group for _span, group in router._read_targets(table_name))
+    )
+
+
+class _Route(NamedTuple):
+    """One routing policy, whole: where a verb goes and how answers merge."""
+
+    groups: Callable[["ClusterRouter", Any], list[ShardGroup]]  # shards visited
+    need: str  # answers required inside each group (ShardGroup.fan_out)
+    gather: Callable[[list[list]], Any]  # per-group answer lists -> result
+
+
+_ROUTES: dict[str, _Route] = {
+    FIRST_SHARD: _Route(lambda router, _table: router.groups[:1], ONE, _first),
+    TAIL_BROADCAST: _Route(_tail_shard, SOME, _first),
+    EVERY_SHARD: _Route(lambda router, _table: router.groups, SOME, _first),
+    SHARDS_SUM: _Route(_table_shards, SOME, lambda per_group: sum(v[0] for v in per_group)),
+    REPLICAS_STRICT: _Route(_table_shards, ALL, _flatten),
+    REPLICAS_REACHABLE: _Route(_table_shards, REACHABLE, _flatten),
+}
+
+
+class ClusterRouter(VerbClient):
+    """The scatter-gather client of a replicated EncDBDB cluster.
+
+    Verbs whose :class:`~repro.net.verbs.Verb` line names a fan-out policy
+    are installed from the table and run through :meth:`_route`; the
+    methods written out below are the ones that merge per-shard answers.
+    """
 
     def __init__(
         self,
@@ -401,6 +401,7 @@ class ClusterRouter:
         scatter_workers: int | None = None,
         probe_interval: float = 2.0,
     ) -> None:
+        super().__init__()
         self.shard_map = shard_map
         self.groups = [
             ShardGroup(
@@ -425,8 +426,6 @@ class ClusterRouter:
             if scatter_workers is not None
             else max(2, 2 * shard_map.shard_count)
         )
-        self.catalog = _RouterCatalog(self)
-        self.cost_model = _RouterCostModel(self)
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -434,16 +433,13 @@ class ClusterRouter:
     def group(self, shard_id: int) -> ShardGroup:
         return self.groups[shard_id]
 
-    def _assignment(self, table_name: str) -> TableAssignment | None:
-        return self.shard_map.assignment(table_name)
-
     def _read_targets(self, table_name: str) -> list[tuple[Any, ShardGroup]]:
         """(span | None, group) pairs a read of ``table_name`` must visit.
 
         A table never deployed through the coordinator (DDL + inserts only)
         has no assignment; all of its rows live on shard 0 by convention.
         """
-        assignment = self._assignment(table_name)
+        assignment = self.shard_map.assignment(table_name)
         if assignment is None:
             return [(None, self.groups[0])]
         return [
@@ -466,21 +462,61 @@ class ClusterRouter:
                 future.cancel()
 
     # ------------------------------------------------------------------
+    # Every verb with a declared fan-out policy (repro.net.verbs)
+    # ------------------------------------------------------------------
+    def _route(self, name: str, args: tuple, kwargs: dict) -> Any:
+        """Run verb ``name`` per its routing policy: pick the shard groups,
+        fan out inside each (concurrently across groups), gather.
+
+        Every routed verb leads with the table it addresses — by name, or
+        as a plan on it (``table_names`` addresses none and visits shard 0).
+        """
+        route = _ROUTES[VERBS[name].route]
+        subject = args[0] if args else None
+        is_plan = subject is not None and not isinstance(subject, str)
+        table_name = subject.table if is_plan else subject
+        return route.gather(
+            self._scatter(
+                [
+                    (lambda g=group: g.fan_out(route.need, name, *args, **kwargs))
+                    for group in route.groups(self, table_name)
+                ]
+            )
+        )
+
+    def migrate_status(
+        self, table_name: str | None = None, column_name: str | None = None
+    ) -> list:
+        """Routed like any ``replicas-reachable`` verb; no table = every table."""
+        names = self.table_names() if table_name is None else [table_name]
+        return [
+            status
+            for name in names
+            for status in self._route("migrate_status", (name, column_name), {})
+        ]
+
+    # ------------------------------------------------------------------
     # Reads: scatter the plan, gather the padded unions
     # ------------------------------------------------------------------
-    def execute_select(self, plan) -> ServerResult:
+    def _scatter_read(self, method: str, plan) -> tuple[list | None, list]:
+        """Ask one healthy endpoint of every shard holding ``plan.table``;
+        returns ``(spans, answers)`` in span order. ``spans`` is ``None``
+        for an unassigned table: shard 0 answers alone, nothing to merge."""
         targets = self._read_targets(plan.table)
-        results = self._scatter(
+        answers = self._scatter(
             [
-                (lambda group=group: group.call("execute_select", plan))
+                (lambda group=group: group.call(method, plan))
                 for _span, group in targets
             ]
         )
-        if len(targets) == 1 and targets[0][0] is None:
+        spans = [span for span, _group in targets]
+        return (None if spans == [None] else spans), answers
+
+    def execute_select(self, plan) -> ServerResult:
+        spans, results = self._scatter_read("execute_select", plan)
+        if spans is None:
             return results[0]
-        return self._merge_results(
-            plan.table, [span for span, _group in targets], results
-        )
+        return self._merge_results(plan.table, spans, results)
 
     def execute_select_pushdown(self, plan) -> PushdownSelectResult:
         """Scatter a routed SELECT; merge pushed-down partial aggregates.
@@ -497,16 +533,9 @@ class ClusterRouter:
         row shipping, recorded as a ``cluster: pushdown-fallback`` routing
         decision instead of a refusal.
         """
-        targets = self._read_targets(plan.table)
-        results = self._scatter(
-            [
-                (lambda group=group: group.call("execute_select_pushdown", plan))
-                for _span, group in targets
-            ]
-        )
-        if len(targets) == 1 and targets[0][0] is None:
+        spans, results = self._scatter_read("execute_select_pushdown", plan)
+        if spans is None:
             return results[0]
-        spans = [span for span, _group in targets]
         have_frames = [result.aggregate is not None for result in results]
         if all(have_frames):
             first = results[0].aggregate
@@ -525,13 +554,10 @@ class ClusterRouter:
             merged = AggregateFrames(
                 first.table_name, first.group_column, first.labels, frames
             )
-            decisions = results[0].decisions + (
-                RoutingDecision(
-                    "cluster",
-                    True,
-                    f"scatter over {len(results)} shard(s): partial "
-                    "aggregate frames merge at the proxy",
-                ),
+            decisions = results[0].decisions + _cluster_note(
+                True,
+                f"scatter over {len(results)} shard(s): partial "
+                "aggregate frames merge at the proxy",
             )
             return PushdownSelectResult(decisions, aggregate=merged)
         if not any(have_frames):
@@ -541,23 +567,14 @@ class ClusterRouter:
             # Per-shard ordering does not survive concatenation; the proxy
             # re-sorts the union, so the merged result is unordered.
             return PushdownSelectResult(results[0].decisions, rows=merged_rows)
-        plain = self._scatter(
-            [
-                (lambda group=group: group.call("execute_select", plan))
-                for _span, group in targets
-            ]
-        )
+        _, plain = self._scatter_read("execute_select", plan)
         merged_rows = self._merge_results(plan.table, spans, plain)
         decisions = tuple(
             RoutingDecision(decision.clause, False, decision.reason)
             for decision in results[0].decisions
-        ) + (
-            RoutingDecision(
-                "cluster",
-                False,
-                "pushdown-fallback: shard cost gates disagreed; "
-                "re-issued as row shipping",
-            ),
+        ) + _cluster_note(
+            False,
+            "pushdown-fallback: shard cost gates disagreed; re-issued as row shipping",
         )
         return PushdownSelectResult(decisions, rows=merged_rows)
 
@@ -569,20 +586,9 @@ class ClusterRouter:
         or, when the shards' static routing disagrees, the row-shipping
         fallback execution would take.
         """
-        table_name = getattr(plan, "table", None)
-        if table_name is None:
-            return tuple(self.group(0).call("explain_pushdown", plan))
-        targets = self._read_targets(table_name)
-        per_shard = self._scatter(
-            [
-                (
-                    lambda group=group: tuple(
-                        group.call("explain_pushdown", plan)
-                    )
-                )
-                for _span, group in targets
-            ]
-        )
+        if getattr(plan, "table", None) is None:
+            return self.group(0).call("explain_pushdown", plan)
+        _, per_shard = self._scatter_read("explain_pushdown", plan)
         decisions = per_shard[0]
         if len(per_shard) == 1:
             return decisions
@@ -591,22 +597,16 @@ class ClusterRouter:
             for shard in per_shard
         }
         if len(shapes) > 1:
-            return decisions + (
-                RoutingDecision(
-                    "cluster",
-                    False,
-                    f"pushdown-fallback: {len(per_shard)} shard(s) route "
-                    "this plan differently; execution re-issues row shipping",
-                ),
+            return decisions + _cluster_note(
+                False,
+                f"pushdown-fallback: {len(per_shard)} shard(s) route "
+                "this plan differently; execution re-issues row shipping",
             )
         if any(decision.pushed for decision in decisions):
-            return decisions + (
-                RoutingDecision(
-                    "cluster",
-                    True,
-                    f"scatter over {len(per_shard)} shard(s): partial "
-                    "results merge at the proxy",
-                ),
+            return decisions + _cluster_note(
+                True,
+                f"scatter over {len(per_shard)} shard(s): partial "
+                "results merge at the proxy",
             )
         return decisions
 
@@ -673,28 +673,8 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Writes: route to the owning shard group, broadcast to its replicas
     # ------------------------------------------------------------------
-    def _tail_group(self, table_name: str) -> ShardGroup:
-        assignment = self._assignment(table_name)
-        if assignment is None:
-            return self.groups[0]
-        return self.groups[assignment.last_span().shard_id]
-
-    def execute_insert(self, table_name: str, prepared_rows: list[dict]) -> int:
-        return self._tail_group(table_name).broadcast(
-            "execute_insert", table_name, prepared_rows
-        )
-
-    def execute_delete(self, plan) -> int:
-        counts = self._scatter(
-            [
-                (lambda group=group: group.broadcast("execute_delete", plan))
-                for _span, group in self._read_targets(plan.table)
-            ]
-        )
-        return sum(counts)
-
     def delete_record_ids(self, table_name: str, record_ids) -> int:
-        assignment = self._assignment(table_name)
+        assignment = self.shard_map.assignment(table_name)
         if assignment is None:
             return self.groups[0].broadcast(
                 "delete_record_ids", table_name, record_ids
@@ -705,139 +685,14 @@ class ClusterRouter:
             by_shard.setdefault(span.shard_id, []).append(
                 int(global_id) - span.row_base
             )
-        deleted = 0
-        for shard_id, local_ids in by_shard.items():
-            deleted += self.groups[shard_id].broadcast(
-                "delete_record_ids", table_name, local_ids
-            )
-        return deleted
-
-    def execute_merge(self, plan) -> int:
-        counts = self._scatter(
-            [
-                (lambda group=group: group.broadcast("execute_merge", plan))
-                for _span, group in self._read_targets(plan.table)
-            ]
+        return sum(
+            self.groups[shard_id].broadcast("delete_record_ids", table_name, local_ids)
+            for shard_id, local_ids in by_shard.items()
         )
-        return sum(counts)
 
     # ------------------------------------------------------------------
-    # Online rotation (repro.migrate): every replica of every populated
-    # shard rotates, and the deterministic rotation seed guarantees they
-    # all converge on byte-identical ciphertext.
+    # Bulk import
     # ------------------------------------------------------------------
-    def _migrate_groups(self, table_name: str) -> list[ShardGroup]:
-        """Populated shard groups of ``table_name``, span-ordered."""
-        groups: list[ShardGroup] = []
-        for _span, group in self._read_targets(table_name):
-            if group not in groups:
-                groups.append(group)
-        return groups
-
-    def _migrate_scatter(
-        self,
-        table_name: str,
-        method: str,
-        *args: Any,
-        strict: bool = True,
-        **kwargs: Any,
-    ) -> list:
-        """Run one migrate verb on every endpoint of every populated shard;
-        the flattened per-endpoint statuses come back in span order (and
-        endpoint order within a shard), so progress reads top-to-bottom as
-        the data lays out. ``strict`` verbs (anything mutating) require
-        every endpoint; status reads settle for the reachable ones."""
-        groups = self._migrate_groups(table_name)
-        fan_out = "broadcast_all" if strict else "broadcast_each"
-        per_group = self._scatter(
-            [
-                (lambda g=group: getattr(g, fan_out)(method, *args, **kwargs))
-                for group in groups
-            ]
-        )
-        statuses: list = []
-        for values in per_group:
-            for value in values:
-                statuses.extend(value if isinstance(value, list) else [value])
-        return statuses
-
-    def migrate_start(
-        self,
-        table_name: str,
-        column_name: str,
-        *,
-        new_kind: str | None = None,
-        rotate_key: bool = False,
-    ) -> list:
-        return self._migrate_scatter(
-            table_name,
-            "migrate_start",
-            table_name,
-            column_name,
-            new_kind=new_kind,
-            rotate_key=rotate_key,
-        )
-
-    def migrate_step(
-        self, table_name: str, column_name: str, steps: int = 1
-    ) -> list:
-        return self._migrate_scatter(
-            table_name, "migrate_step", table_name, column_name, steps
-        )
-
-    def migrate_run(self, table_name: str, column_name: str) -> list:
-        return self._migrate_scatter(
-            table_name, "migrate_run", table_name, column_name
-        )
-
-    def migrate_status(
-        self, table_name: str | None = None, column_name: str | None = None
-    ) -> list:
-        if table_name is None:
-            statuses: list = []
-            for name in self.table_names():
-                statuses.extend(self.migrate_status(name, column_name))
-            return statuses
-        return self._migrate_scatter(
-            table_name, "migrate_status", table_name, column_name, strict=False
-        )
-
-    def migrate_rollback(self, table_name: str, column_name: str) -> list:
-        return self._migrate_scatter(
-            table_name, "migrate_rollback", table_name, column_name
-        )
-
-    def explain_migrations(self, plan) -> list:
-        """EXPLAIN hook: active rotations on the plan's table(s), cluster-
-        wide (span-ordered, one status per endpoint)."""
-        tables = [
-            name
-            for name in (
-                getattr(plan, "table", None),
-                getattr(plan, "left_table", None),
-                getattr(plan, "right_table", None),
-            )
-            if name is not None
-        ]
-        statuses: list = []
-        for table_name in dict.fromkeys(tables):
-            try:
-                statuses.extend(
-                    status
-                    for status in self.migrate_status(table_name)
-                    if status.active
-                )
-            except (ClusterError, NetworkError):
-                continue  # EXPLAIN stays best-effort when shards are down
-        return statuses
-
-    # ------------------------------------------------------------------
-    # DDL and bulk import
-    # ------------------------------------------------------------------
-    def create_table(self, plan) -> None:
-        for group in self.groups:
-            group.broadcast("create_table", plan)
-
     def bulk_load_stream(self, table_name: str, partitions: Iterable) -> int:
         """Deploy a partition stream according to the table's assignment.
 
@@ -848,7 +703,7 @@ class ClusterRouter:
         ciphertext — the build is deterministic and already done). Peak
         client memory is O(largest span), not O(table).
         """
-        assignment = self._assignment(table_name)
+        assignment = self.shard_map.assignment(table_name)
         if assignment is None:
             raise ClusterError(
                 f"table {table_name!r} has no shard assignment; "
@@ -872,8 +727,11 @@ class ClusterRouter:
                 plains.setdefault(name, []).extend(values)
             next_partition += 1
             if next_partition == spans[span_index].partition_hi:
-                total_rows += self._flush_span(
-                    table_name, spans[span_index], builds, plains
+                total_rows += self.groups[spans[span_index].shard_id].broadcast(
+                    "bulk_load",
+                    table_name,
+                    plain_columns=plains or None,
+                    encrypted_builds=builds or None,
                 )
                 builds, plains = {}, {}
                 span_index += 1
@@ -884,30 +742,9 @@ class ClusterRouter:
             )
         return total_rows
 
-    def _flush_span(
-        self,
-        table_name: str,
-        span,
-        builds: dict[str, list],
-        plains: dict[str, list],
-    ) -> int:
-        group = self.groups[span.shard_id]
-        return group.broadcast(
-            "bulk_load",
-            table_name,
-            plain_columns=plains or None,
-            encrypted_builds=builds or None,
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def table_names(self) -> list[str]:
-        return self.group(0).call("table_names")
-
-    def table_specs(self, table_name: str) -> tuple:
-        return tuple(self.group(0).call("table_specs", table_name))
-
     def cost_snapshot(self) -> dict:
         """Aggregate enclave cost counters over every shard primary."""
         shard_snapshots = [
@@ -942,3 +779,12 @@ class ClusterRouter:
     def close(self) -> None:
         for group in self.groups:
             group.close()
+
+
+# ``custom`` verbs are the hand-written merges above; ``unrouted`` ones are
+# deliberately absent (tests/net/test_verbs.py holds both statements).
+install_verbs(
+    ClusterRouter,
+    (name for name, verb in VERBS.items() if verb.route in _ROUTES),
+    ClusterRouter._route,
+)

@@ -488,7 +488,6 @@ class EncryptedStoredColumn:
         labeled_results: Sequence[tuple[Any, SearchResult]],
         *,
         cost_model=None,
-        chunk_rows: int | None = None,
         max_workers: int | None = None,
         scan_cache: dict | None = None,
         adaptive: bool | None = None,
@@ -551,7 +550,6 @@ class EncryptedStoredColumn:
                 build.attribute_vector,
                 result,
                 cost_model=cost_model,
-                chunk_rows=chunk_rows,
                 max_workers=max_workers,
                 adaptive=adaptive,
             )
@@ -586,7 +584,6 @@ class EncryptedStoredColumn:
         tau: tuple[bytes, bytes],
         host: EnclaveHost,
         *,
-        chunk_rows: int | None = None,
         max_workers: int | None = None,
         scan_cache: dict | None = None,
         adaptive: bool | None = None,
@@ -604,7 +601,6 @@ class EncryptedStoredColumn:
         return self.record_ids_from_results(
             labeled,
             cost_model=host.cost_model,
-            chunk_rows=chunk_rows,
             max_workers=max_workers,
             scan_cache=scan_cache,
             adaptive=adaptive,

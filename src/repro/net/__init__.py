@@ -20,26 +20,31 @@ calls over real TCP sockets:
   wire error frames (no stack traces, no plaintext values).
 """
 
-from repro.net.client import (
-    NetConnection,
-    RemoteDataOwner,
-    RemoteProxy,
-    RemoteServer,
-    RetryPolicy,
-    connect_system,
-)
-from repro.net.protocol import PROTOCOL_VERSION, FrameType
-from repro.net.server import NetServer, ServerThread
+# Re-exports resolve lazily so that the pure-data :mod:`repro.net.verbs`
+# stays importable without the socket/DBMS stack (and without numpy): the
+# static analyzer reads the verb table and must not execute what it audits.
+_LAZY_EXPORTS = {
+    "PROTOCOL_VERSION": "repro.net.protocol",
+    "FrameType": "repro.net.protocol",
+    "NetConnection": "repro.net.client",
+    "RemoteDataOwner": "repro.net.client",
+    "RemoteProxy": "repro.net.client",
+    "RemoteServer": "repro.net.client",
+    "RetryPolicy": "repro.net.client",
+    "connect_system": "repro.net.client",
+    "NetServer": "repro.net.server",
+    "ServerThread": "repro.net.server",
+}
 
-__all__ = [
-    "PROTOCOL_VERSION",
-    "FrameType",
-    "NetConnection",
-    "NetServer",
-    "RemoteDataOwner",
-    "RemoteProxy",
-    "RemoteServer",
-    "RetryPolicy",
-    "ServerThread",
-    "connect_system",
-]
+
+def __getattr__(name: str):
+    try:
+        module_name = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro.net' has no attribute {name!r}") from None
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+__all__ = sorted(_LAZY_EXPORTS)

@@ -17,6 +17,8 @@ attestation + provisioning sequence — run against it unchanged.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 import socket
 import time
@@ -30,6 +32,7 @@ from repro.crypto.pae import default_pae
 from repro.encdict.builder import BuildResult, BuildStats
 from repro.exceptions import (
     AttestationError,
+    ClusterError,
     NetworkError,
     ProtocolError,
     ServerBusyError,
@@ -43,6 +46,8 @@ from repro.net.protocol import (
     encode_payload,
     read_frame,
 )
+from repro.net.verbs import VERBS
+from repro.server.dbms import EncDBDBServer
 
 #: ``tap(direction, frame_type, payload_bytes)`` — observes every frame
 #: payload this connection sends ("send") or receives ("recv"), *after*
@@ -246,7 +251,7 @@ def _sanitize_builds(build):
     return _sanitize_build(build)
 
 
-class _RemoteTable:
+class SchemaTable:
     """Schema-only table view (mirrors ``catalog.table(name).specs``)."""
 
     def __init__(self, name: str, specs: tuple) -> None:
@@ -254,27 +259,28 @@ class _RemoteTable:
         self.specs = list(specs)
 
 
-class _RemoteCatalog:
-    """Read-only catalog shim backed by server RPCs."""
+class SchemaCatalog:
+    """Read-only catalog shim over a server stand-in's schema verbs."""
 
-    def __init__(self, connection: NetConnection) -> None:
-        self._connection = connection
+    def __init__(self, server) -> None:
+        self._server = server
 
     def table_names(self) -> list[str]:
-        return self._connection.call("table_names")
+        return self._server.table_names()
 
-    def table(self, name: str) -> _RemoteTable:
-        return _RemoteTable(name, self._connection.call("table_specs", name))
+    def table(self, name: str) -> SchemaTable:
+        return SchemaTable(name, self._server.table_specs(name))
 
 
-class _RemoteCostModel:
-    """Snapshot-backed view of the remote enclave's cost accounting."""
+class SnapshotCostModel:
+    """Snapshot-backed view of a remote deployment's enclave cost
+    accounting (drives the shell's ``.stats``)."""
 
-    def __init__(self, connection: NetConnection) -> None:
-        self._connection = connection
+    def __init__(self, server) -> None:
+        self._server = server
 
     def snapshot(self) -> dict:
-        return self._connection.call("cost_snapshot")
+        return self._server.cost_snapshot()
 
     @property
     def ecalls(self) -> int:
@@ -292,23 +298,92 @@ class _RemoteCostModel:
         return self.snapshot()["estimated_cycles"]
 
 
-class RemoteServer:
+#: Each verb's call signature is the ``EncDBDBServer`` method's own — the
+#: one hand-written copy of the surface.
+_SIGNATURES = {
+    name: inspect.signature(getattr(EncDBDBServer, name)) for name in VERBS
+}
+
+
+def bind_verb_call(name: str, args: tuple, kwargs: dict) -> tuple[tuple, dict]:
+    """Normalize one verb call against the server method's signature.
+
+    A wrong-arity call raises ``TypeError`` here, client-side, instead of
+    travelling and coming back as a redacted wire error; defaults are
+    applied so a verb always crosses the wire in one canonical encoding.
+    """
+    bound = _SIGNATURES[name].bind(None, *args, **kwargs)
+    bound.apply_defaults()
+    return bound.args[1:], bound.kwargs
+
+
+class VerbClient:
+    """What both client-side stand-ins for an ``EncDBDBServer`` —
+    :class:`RemoteServer` (one socket) and the cluster router (many) —
+    derive from the verbs they issue: the ``catalog`` / ``cost_model`` shims
+    and the EXPLAIN migration hook ``Proxy`` and the shell read off a server.
+    """
+
+    def __init__(self) -> None:
+        self.catalog = SchemaCatalog(self)
+        self.cost_model = SnapshotCostModel(self)
+
+    def explain_migrations(self, plan) -> list:
+        """EXPLAIN hook: active rotations on the plan's table(s)."""
+        tables = (
+            getattr(plan, name, None) for name in ("table", "left_table", "right_table")
+        )
+        statuses: list = []
+        for table_name in dict.fromkeys(t for t in tables if t is not None):
+            try:
+                statuses.extend(s for s in self.migrate_status(table_name) if s.active)
+            except (ClusterError, NetworkError):
+                continue  # EXPLAIN stays best-effort when servers are down
+        return statuses
+
+
+def install_verbs(cls: type, names, forward: Callable[[Any, str, tuple, dict], Any]) -> None:
+    """Give ``cls`` one method per verb in ``names`` it does not write out
+    itself: bind the call locally, then ``forward(self, name, args, kwargs)``.
+
+    One explicit method per table entry rather than ``__getattr__``:
+    ``Proxy`` and ``DataOwner`` probe optional hooks with
+    ``getattr(server, name, None)``, so anything that is not a verb must
+    keep answering "absent".
+    """
+
+    def make(name: str):
+        @functools.wraps(getattr(EncDBDBServer, name))  # its doc and signature
+        def method(self, *args: Any, **kwargs: Any) -> Any:
+            return forward(self, name, *bind_verb_call(name, args, kwargs))
+
+        method.verb = VERBS[name]
+        return method
+
+    for name in names:
+        if name not in vars(cls):
+            setattr(cls, name, make(name))
+
+
+class RemoteServer(VerbClient):
     """Client-side stub presenting the :class:`EncDBDBServer` surface.
 
     ``Proxy`` and ``DataOwner`` call it exactly as they call an in-process
-    server; each method is one wire round trip. ``attestation`` is a *local*
-    :class:`AttestationService` — quote verification must happen in the
-    trusted realm (the simulated Intel root key is shared, mirroring how a
-    real verifier talks to IAS rather than trusting the provider).
+    server; each method is one wire round trip. Pass-through verbs are
+    installed from :data:`repro.net.verbs.VERBS` below the class; only the
+    methods that do something besides forwarding are written out.
+    ``attestation`` is a *local* :class:`AttestationService` — quote
+    verification must happen in the trusted realm (the simulated Intel root
+    key is shared, mirroring how a real verifier talks to IAS rather than
+    trusting the provider).
     """
 
     def __init__(self, connection: NetConnection) -> None:
         from repro.sgx.attestation import AttestationService
 
+        super().__init__()
         self.connection = connection
         self.attestation = AttestationService()
-        self.catalog = _RemoteCatalog(connection)
-        self.cost_model = _RemoteCostModel(connection)
 
     # -- handshake facts -------------------------------------------------
     @property
@@ -324,6 +399,7 @@ class RemoteServer:
         return self.connection.hello.get("session", 0)
 
     # -- attestation + provisioning (paper §4.2 steps 2, over sockets) ---
+    # Session-bound ATTEST / PROVISION frames, not QUERY verbs.
     def enclave_channel_offer(self):
         # The server holds one provisioning slot; a lost race surfaces as
         # ServerBusyError before any enclave state changes, so the offer is
@@ -342,19 +418,7 @@ class RemoteServer:
         self.connection.request(FrameType.PROVISION, {"blob": wire_blob})
         self.connection.hello["provisioned"] = True
 
-    def enclave_replicate_key(self, offer):
-        """Primary-side key replication (cluster PR 7): relay a replica
-        enclave's channel offer in; DH public + PAE-wrapped ``SKDB`` out.
-        The relay sees only those two opaque values."""
-        return self.connection.call("enclave_replicate_key", offer)
-
-    def enclave_is_provisioned(self) -> bool:
-        return bool(self.connection.call("enclave_is_provisioned"))
-
-    # -- DDL / import ------------------------------------------------------
-    def create_table(self, plan) -> None:
-        self.connection.call("create_table", plan)
-
+    # -- verbs that do more than forward ---------------------------------
     def bulk_load(
         self,
         table_name: str,
@@ -372,107 +436,34 @@ class RemoteServer:
             },
         )
 
-    # -- query execution -----------------------------------------------------
-    def execute_select(self, plan):
-        return self.connection.call("execute_select", plan)
-
-    def execute_select_pushdown(self, plan):
-        """Routed SELECT (analytics pushdown, PR 9): decisions + either
-        padded aggregate frames or rendered ciphertext rows."""
-        return self.connection.call("execute_select_pushdown", plan)
+    def save(self, path) -> None:
+        self.connection.call("save", str(path))
 
     def explain_pushdown(self, plan) -> tuple:
         return tuple(self.connection.call("explain_pushdown", plan))
 
-    def execute_join_select(self, plan, salt: bytes):
-        return self.connection.call("execute_join_select", plan, salt)
-
-    def execute_insert(self, table_name: str, prepared_rows: list[dict]) -> int:
-        return self.connection.call("execute_insert", table_name, prepared_rows)
-
-    def execute_delete(self, plan) -> int:
-        return self.connection.call("execute_delete", plan)
-
-    def delete_record_ids(self, table_name: str, record_ids) -> int:
-        return self.connection.call("delete_record_ids", table_name, record_ids)
-
-    def execute_merge(self, plan) -> int:
-        return self.connection.call("execute_merge", plan)
-
-    # -- online rotation (repro.migrate) -----------------------------------
-    def migrate_start(
-        self,
-        table_name: str,
-        column_name: str,
-        *,
-        new_kind: str | None = None,
-        rotate_key: bool = False,
-    ):
-        return self.connection.call(
-            "migrate_start",
-            table_name,
-            column_name,
-            new_kind=new_kind,
-            rotate_key=rotate_key,
-        )
-
-    def migrate_step(self, table_name: str, column_name: str, steps: int = 1):
-        return self.connection.call("migrate_step", table_name, column_name, steps)
-
-    def migrate_run(self, table_name: str, column_name: str):
-        return self.connection.call("migrate_run", table_name, column_name)
-
-    def migrate_status(
-        self, table_name: str | None = None, column_name: str | None = None
-    ) -> list:
-        return self.connection.call("migrate_status", table_name, column_name)
-
-    def migrate_rollback(self, table_name: str, column_name: str):
-        return self.connection.call("migrate_rollback", table_name, column_name)
-
-    # -- introspection / persistence (server-side paths) ------------------
-    def table_names(self) -> list[str]:
-        return self.connection.call("table_names")
-
     def table_specs(self, table_name: str) -> tuple:
         return tuple(self.connection.call("table_specs", table_name))
 
-    def cost_snapshot(self) -> dict:
-        return self.connection.call("cost_snapshot")
-
-    def save(self, path) -> None:
-        self.connection.call("save", str(path))
-
-    def enclave_seal(self) -> bytes:
-        return self.connection.call("enclave_seal")
-
-    def enclave_restore(self, sealed_blob: bytes) -> None:
-        self.connection.call("enclave_restore", sealed_blob)
+    def enclave_is_provisioned(self) -> bool:
+        return bool(self.connection.call("enclave_is_provisioned"))
 
     def close(self) -> None:
         self.connection.close()
 
 
-class RemoteProxy(Proxy):
-    """The trusted proxy, deployed in the data owner's realm over TCP.
-
-    Identical logic to :class:`Proxy` — plans and encrypts client-side,
-    decrypts and post-processes client-side — only the server surface is a
-    :class:`RemoteServer`, so plans/results travel as wire frames.
-    """
-
-    @property
-    def connection(self) -> NetConnection:
-        return self._server.connection
+install_verbs(
+    RemoteServer,
+    VERBS,
+    lambda self, name, args, kwargs: self.connection.call(name, *args, **kwargs),
+)
 
 
-class RemoteDataOwner(DataOwner):
-    """The data owner provisioning a remote deployment (paper §4.2).
-
-    Inherits the full local EncDB pipeline; ``attest_and_provision`` against
-    a :class:`RemoteServer` performs quote verification locally and pushes
-    ``SKDB`` through the DH secure channel over the socket.
-    """
+#: The trusted proxy / data owner of a TCP deployment are the ordinary
+#: classes — only the server they talk to is a :class:`RemoteServer`. The
+#: names stay importable for existing callers.
+RemoteProxy = Proxy
+RemoteDataOwner = DataOwner
 
 
 def connect_system(
@@ -503,7 +494,7 @@ def connect_system(
     connection = NetConnection(host, port, timeout=timeout, tap=tap, retry=retry)
     try:
         server = RemoteServer(connection)
-        owner = RemoteDataOwner(rng=rng.fork("owner"), master_key=master_key)
+        owner = DataOwner(rng=rng.fork("owner"), master_key=master_key)
         should_provision = (
             provision if provision is not None else not server.provisioned
         )
@@ -518,9 +509,7 @@ def connect_system(
             raise AttestationError(
                 "remote enclave measurement does not match the pinned identity"
             )
-        proxy = RemoteProxy(
-            server, owner.master_key, default_pae(rng=rng.fork("proxy"))
-        )
+        proxy = Proxy(server, owner.master_key, default_pae(rng=rng.fork("proxy")))
         # Mirror any pre-existing schema (e.g. reconnecting after a restart)
         # so the proxy can plan against tables it did not create itself.
         for name in server.table_names():

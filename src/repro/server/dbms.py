@@ -78,9 +78,12 @@ class EncDBDBServer:
         )
         self.enclave_host = EnclaveHost(self._enclave)
         self.executor = Executor(self.catalog, self.enclave_host, fastpath=self.fastpath)
+        # Kept here so load() rebuilds the manager on the same salt stream.
+        self._migration_salt_rng = rng.fork("migration-salts")
         self.migrations = MigrationManager(
-            self.catalog, self.enclave_host, salt_rng=rng.fork("migration-salts")
+            self.catalog, self.enclave_host, salt_rng=self._migration_salt_rng
         )
+        self._merge_policy = None
 
     # ------------------------------------------------------------------
     # Enclave surface exposed to the network (provisioning passthrough)
@@ -363,7 +366,7 @@ class EncDBDBServer:
         self._merge_policy = None
 
     def _maybe_auto_merge(self, table_name: str) -> None:
-        policy = getattr(self, "_merge_policy", None)
+        policy = self._merge_policy
         if policy is None:
             return
         if table_name in self.migrations.active_tables():
@@ -447,5 +450,5 @@ class EncDBDBServer:
         self.catalog = loaded
         self.executor = Executor(self.catalog, self.enclave_host, fastpath=self.fastpath)
         self.migrations = MigrationManager(
-            self.catalog, self.enclave_host, salt_rng=self.migrations._salt_rng
+            self.catalog, self.enclave_host, salt_rng=self._migration_salt_rng
         )

@@ -13,11 +13,11 @@ every query. This module provides the two knobs the fast path is built on:
   paging event. Enclave analytical engines live or die by amortizing
   transition and EPC-paging costs (DuckDB-SGX2; StealthDB caches decrypted
   state under a strict memory budget) — this is that lever.
-- :class:`FastPathConfig`, the single configuration object that switches
-  each fast-path layer (entry cache, derived-key cache, batched ecalls,
-  chunked parallel attribute-vector scans, scan-mask reuse) on or off. The
-  unoptimized paper-faithful path stays available behind
-  :meth:`FastPathConfig.disabled` so the Figure 8 numbers remain
+- :class:`FastPathConfig`, the single configuration object that selects
+  between the fast path (entry cache, derived-key cache, batched ecalls,
+  vectorized kernels, chunked parallel attribute-vector scans, scan-mask
+  reuse — all of it) and the unoptimized paper-faithful path behind
+  :meth:`FastPathConfig.disabled`, which keeps the Figure 8 numbers
   reproducible.
 
 Security argument (see DESIGN.md "Query fast path"): cached plaintext lives
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Hashable
 
 from repro.exceptions import EnclaveMemoryError
@@ -53,15 +53,7 @@ class CacheStats:
     peak_bytes: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "rejected": self.rejected,
-            "peak_bytes": self.peak_bytes,
-        }
+        return asdict(self)
 
 
 class EnclaveLruCache:
@@ -221,62 +213,29 @@ class EnclaveLruCache:
 
 @dataclass(frozen=True)
 class FastPathConfig:
-    """Configuration of the query fast path (PR 1).
+    """Configuration of the query fast path (PR 1): two profiles.
 
-    Every layer can be switched off individually; ``enabled=False`` turns
-    the whole fast path off at once, restoring the paper-faithful
-    one-ecall-per-filter, decrypt-every-probe behaviour that the Figure 8
-    benchmarks reproduce.
+    ``FastPathConfig()`` is the *fast* profile every deployment runs:
+    decrypted-entry and derived-key caches inside the enclave, one batched
+    ``dict_search_batch`` ecall per query, packed-ordinal vectorized search
+    kernels, chunked parallel attribute-vector scans and per-query scan-mask
+    reuse. :meth:`disabled` is the *paper* profile: the one-ecall-per-filter,
+    decrypt-every-probe, constant-enclave-memory behaviour the Figure 8
+    benchmarks reproduce. The layers are not individually switchable — no
+    deployment ever ran a mixture, and each independent switch doubled the
+    configurations to keep correct. What remains tunable is sizing.
     """
 
     enabled: bool = True
-    #: Memoize decrypted dictionary entries inside the enclave.
-    cache_dictionary_entries: bool = True
     #: EPC budget of the entry cache (charged against the 96 MiB model).
     dictionary_cache_bytes: int = 8 * 1024 * 1024
-    #: Memoize per-column ``SKD = DeriveKey(SKDB, tab, col)`` derivations.
-    cache_column_keys: bool = True
-    #: Plan multi-filter queries into one ``dict_search_batch`` ecall.
-    batch_ecalls: bool = True
-    #: Chunk large attribute-vector scans over a thread pool.
-    parallel_scan: bool = True
-    #: Rows per scan chunk; scans at or below this size stay single-shot.
-    scan_chunk_rows: int = 1 << 18
-    #: Worker threads for chunked scans. Defaults to the process-wide knob
-    #: (``ENCDBDB_SCAN_WORKERS``), which the build pipeline shares.
+    #: Worker threads for chunked scans (and the parallel merge
+    #: preparation). Defaults to the process-wide knob
+    #: (``ENCDBDB_SCAN_WORKERS``), which the build pipeline shares; with one
+    #: worker, scans and merges stay serial.
     scan_max_workers: int = field(default_factory=configured_workers)
-    #: Reuse scan results across identical filters on one column per query.
-    reuse_scan_masks: bool = True
-    #: Decrypt-once packed-ordinal dictionaries + vectorized search kernels
-    #: (``repro.encdict.kernels``). Logical cost accounting is unchanged.
-    vectorized_kernels: bool = True
 
     @classmethod
     def disabled(cls) -> "FastPathConfig":
-        """The unoptimized baseline: every fast-path layer off."""
+        """The unoptimized, paper-faithful baseline."""
         return cls(enabled=False)
-
-    # Effective switches (the master flag gates every layer) -----------
-    @property
-    def entry_cache_enabled(self) -> bool:
-        return self.enabled and self.cache_dictionary_entries
-
-    @property
-    def key_cache_enabled(self) -> bool:
-        return self.enabled and self.cache_column_keys
-
-    @property
-    def batching_enabled(self) -> bool:
-        return self.enabled and self.batch_ecalls
-
-    @property
-    def parallel_scan_enabled(self) -> bool:
-        return self.enabled and self.parallel_scan and self.scan_max_workers > 1
-
-    @property
-    def scan_mask_reuse_enabled(self) -> bool:
-        return self.enabled and self.reuse_scan_masks
-
-    @property
-    def vectorized_kernels_enabled(self) -> bool:
-        return self.enabled and self.vectorized_kernels

@@ -1,7 +1,7 @@
 """Online rotation across a sharded, replicated cluster.
 
 The migrate verbs broadcast to *every* endpoint of every populated shard
-(``broadcast_all`` — a replica missing a rotation would diverge, not lag),
+(route ``replicas-strict`` — a replica missing a rotation would diverge, not lag),
 and the deterministic rotation DRBG makes all endpoints of a shard converge
 on byte-identical ciphertext without coordinating. Queries through the
 scatter-gather router stay correct at every intermediate step.
@@ -121,3 +121,25 @@ def test_cluster_rollback_everywhere():
                 column = _column(handles, shard_id, 0)
                 assert column.key_epoch == 0
                 assert column.shadow is None
+
+
+def test_cluster_system_inherits_the_session_surface():
+    """``ClusterSystem`` is an ``EncDBDBSystem`` over the router: the
+    inherited ``migrate`` / ``merge`` run cluster-wide, a status sweep with
+    no table named covers every table, and the in-process factory it cannot
+    honour refuses instead of half-working."""
+    with pytest.raises(TypeError, match="ClusterSystem.connect"):
+        ClusterSystem.create(seed=1)
+    with live_cluster(2, replicas=1) as handles:
+        with ClusterSystem.connect(
+            handles.shard_map, seed=5, retry=IMPATIENT
+        ) as cluster:
+            _load(cluster)
+            cluster.execute("CREATE TABLE u (id INTEGER)")
+            statuses = cluster.migrate("t", "v", new_kind="ED9")
+            assert [s.state for s in statuses] == ["done"] * 4
+            assert len(cluster.server.migrate_status()) == 4  # t only; u idle
+            assert "(ED9," in cluster.explain(SQL)  # the proxy mirror followed
+            cluster.execute("INSERT INTO t VALUES (100, 7)")
+            assert cluster.merge("t") >= 1
+            assert sorted(cluster.query(SQL).column("id")) == _expected() + [100]

@@ -17,7 +17,7 @@ from repro.crypto.pae import default_pae, pae_gen
 from repro.encdict.attrvect import attr_vect_search
 from repro.encdict.builder import encdb_build
 from repro.encdict.enclave_app import EncDBDBEnclave, encrypt_search_range
-from repro.encdict.options import ALL_KINDS, ED2, ED3
+from repro.encdict.options import ALL_KINDS, ED1, ED2, ED3
 from repro.encdict.search import OrdinalRange
 from repro.exceptions import QueryError
 from repro.sgx.attestation import AttestationService
@@ -147,18 +147,21 @@ def test_warm_cache_skips_decryptions():
 def test_eviction_under_epc_pressure_stays_correct():
     """A cache far smaller than the dictionary evicts but never corrupts.
 
-    Runs with vectorized kernels off: the packed-ordinal array of this
-    dictionary exceeds the whole budget (served pass-through, nothing to
-    evict), and this test is about the per-entry LRU eviction machinery.
+    Runs on a sorted kind: the logarithmic searches never eagerly fill the
+    partition's packed-ordinal array, so every probe goes through the
+    per-entry LRU machinery this test is about. (An unsorted kind would
+    decrypt once into a packed array that exceeds this whole budget and is
+    served pass-through — nothing to evict.)
     """
-    tiny = FastPathConfig(dictionary_cache_bytes=4096, vectorized_kernels=False)
+    tiny = FastPathConfig(dictionary_cache_bytes=4096)
     host, master_key, pae, rng = _provisioned_host(tiny)
     values = [f"v{i:03d}" for i in range(200)]
-    build = _build(master_key, pae, rng, values, ED3)
+    build = _build(master_key, pae, rng, values, ED1)
     cache = host._enclave.entry_cache
     assert cache.budget_bytes == 4096
 
-    for low, high in [("v000", "v050"), ("v100", "v150"), ("v000", "v050")]:
+    bounds = [(f"v{low:03d}", f"v{low + 9:03d}") for low in range(0, 200, 10)]
+    for low, high in bounds + bounds[:3]:
         tau = _tau(master_key, pae, build.dictionary.value_type, low, high)
         result = host.ecall("dict_search", build.dictionary, tau)
         records = sorted(attr_vect_search(build.attribute_vector, result).tolist())

@@ -12,7 +12,6 @@ import threading
 import time
 
 from repro.client.session import EncDBDBSystem
-from repro.net.server import LOCK_FREE_METHODS
 
 
 def test_query_completes_while_large_load_is_in_flight(net_server):
@@ -69,9 +68,3 @@ def test_query_completes_while_large_load_is_in_flight(net_server):
         rows = check.query("SELECT k FROM big WHERE k < 10").rows
         assert sorted(r[0] for r in rows) == list(range(10))
 
-
-def test_bulk_load_is_declared_lock_free():
-    assert "bulk_load" in LOCK_FREE_METHODS
-    # Everything touching the enclave stays serialized.
-    assert "execute_select" not in LOCK_FREE_METHODS
-    assert "execute_merge" not in LOCK_FREE_METHODS

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.columnstore.catalog import Catalog
+from repro.encdict.enclave_app import EncDBDBEnclave
 from repro.exceptions import EnclaveMemoryError
 from repro.sgx.cache import EnclaveLruCache, FastPathConfig
 from repro.sgx.costs import CostModel
 from repro.sgx.memory import EPC_USABLE_BYTES, PAGE_BYTES, EpcModel
+from repro.sql.executor import Executor
 
 
 def test_get_put_and_lru_order():
@@ -105,26 +110,34 @@ def test_nonpositive_budget_rejected():
 
 
 def test_fastpath_config_master_flag_gates_every_layer():
+    """Two profiles, three settable fields: ``enabled`` alone decides every
+    layer (entry cache, key cache, batching, kernels, parallel scans, mask
+    reuse); the other two fields only size the fast profile."""
+    assert [f.name for f in dataclasses.fields(FastPathConfig)] == [
+        "enabled",
+        "dictionary_cache_bytes",
+        "scan_max_workers",
+    ]
     # The default worker count is host-clamped (1 on a single-core runner),
     # so pin an explicit multi-worker config when asserting the gate.
-    on = FastPathConfig(scan_max_workers=2)
-    assert on.entry_cache_enabled
-    assert on.key_cache_enabled
-    assert on.batching_enabled
-    assert on.parallel_scan_enabled
-    assert on.scan_mask_reuse_enabled
-    assert on.vectorized_kernels_enabled
+    fast = FastPathConfig(dictionary_cache_bytes=4096, scan_max_workers=2)
+    paper = dataclasses.replace(FastPathConfig.disabled(), scan_max_workers=2)
+    assert fast.enabled and not paper.enabled
+    assert FastPathConfig().enabled
 
-    off = FastPathConfig.disabled()
-    assert not off.entry_cache_enabled
-    assert not off.key_cache_enabled
-    assert not off.batching_enabled
-    assert not off.parallel_scan_enabled
-    assert not off.scan_mask_reuse_enabled
-    assert not off.vectorized_kernels_enabled
+    fast_enclave = EncDBDBEnclave(fastpath=fast)
+    assert fast_enclave.entry_cache.budget_bytes == 4096
+    assert fast_enclave._searcher._vectorized
+    paper_enclave = EncDBDBEnclave(fastpath=paper)
+    assert paper_enclave.entry_cache is None
+    assert not paper_enclave._searcher._vectorized
 
-    single_worker = FastPathConfig(scan_max_workers=1)
-    assert not single_worker.parallel_scan_enabled
+    def scan_workers(config):
+        return Executor(Catalog(), None, fastpath=config)._scan_workers()
+
+    assert scan_workers(fast) == 2
+    assert scan_workers(paper) is None
+    assert scan_workers(FastPathConfig(scan_max_workers=1)) is None
 
 
 def test_invalidate_prefix_evicts_one_partition():
