@@ -2,7 +2,7 @@
 machine-readable ``results/BENCH_kernels.json`` (uploaded by the
 ``kernels-bench`` CI job).
 
-Three claims:
+Two claims:
 
 1. **Packed-ordinal ED3 scan throughput.** A warm vectorized dictionary
    scan (decrypt-once packed array + one boolean-mask kernel) must beat the
@@ -10,15 +10,10 @@ Three claims:
    on one core — the ISSUE targets >= 10x and the measured ratio is
    recorded.
 
-2. **Adaptive dispatch never loses.** Requesting a parallel attribute-vector
-   scan must never end up slower than 0.95x the serial scan: on few-core
-   hosts the dispatcher chooses serial (the pre-PR-6 regression was a 0.82x
-   "speedup"), on multi-core hosts the pool genuinely wins.
-
-3. **Results stay identical** across every path measured here.
+2. **Results stay identical** across both paths measured here.
 
 Every record carries :class:`repro.bench.BenchStats` so regressions can be
-attributed to host shape (cores, workers, dispatch decisions).
+attributed to host shape (cores, workers).
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 import json
 import time
 
-import numpy as np
 import pytest
 
 from conftest import RESULTS_DIR, write_result
@@ -36,35 +30,19 @@ from repro.columnstore.types import VarcharType
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import derive_column_key
 from repro.crypto.pae import default_pae, pae_gen
-from repro.encdict.attrvect import (
-    attr_vect_search,
-    attr_vect_search_many,
-    shutdown_scan_pools,
-)
 from repro.encdict.builder import encdb_build
 from repro.encdict.options import ED3
-from repro.encdict.search import (
-    DUMMY_RANGE,
-    DictionarySearcher,
-    OrdinalRange,
-    SearchResult,
-)
-from repro.runtime import detected_cores, reset_dispatch_stats
+from repro.encdict.search import DictionarySearcher, OrdinalRange
 from repro.sgx.cache import EnclaveLruCache
 from repro.sgx.costs import CostModel
 
 DICT_ENTRIES = 4096
 DICT_ROUNDS = 5
-SCAN_ROWS = 1 << 20
-SCAN_ROUNDS = 3
-SCAN_WORKERS = 4
 
-#: CI regression guards. The scalar/vectorized floor is deliberately below
-#: the >= 10x target so host noise cannot flake the job; the dispatch floor
-#: says "parallel may never lose more than measurement noise".
+#: CI regression guard. The scalar/vectorized floor is deliberately below
+#: the >= 10x target so host noise cannot flake the job.
 MIN_VECTOR_SPEEDUP = 5.0
 TARGET_VECTOR_SPEEDUP = 10.0
-MIN_DISPATCH_RATIO = 0.95
 
 
 def _best_of(fn, rounds: int):
@@ -141,73 +119,11 @@ def test_vectorized_ed3_scan_beats_scalar(ed3_run):
 
 
 # ----------------------------------------------------------------------
-# 2. Adaptive dispatch: a parallel request never loses to serial
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def dispatch_runs():
-    reset_dispatch_stats()
-    av = np.random.default_rng(9).integers(0, 1024, size=SCAN_ROWS)
-    av = av.astype(np.int64)
-    chunk = SCAN_ROWS // 8
-    searches = {
-        "scan": SearchResult(ranges=((100, 300), DUMMY_RANGE)),
-        "scan_many": SearchResult(ranges=((100, 300), DUMMY_RANGE)),
-    }
-    runs = {}
-
-    serial_s, serial = _best_of(
-        lambda: attr_vect_search(av, searches["scan"], max_workers=1),
-        rounds=SCAN_ROUNDS,
-    )
-    requested_s, requested = _best_of(
-        lambda: attr_vect_search(av, searches["scan"], max_workers=SCAN_WORKERS),
-        rounds=SCAN_ROUNDS,
-    )
-    assert requested.tolist() == serial.tolist()
-    runs["scan"] = {
-        "rows": SCAN_ROWS,
-        "serial_s": serial_s,
-        "parallel_request_s": requested_s,
-        "ratio": serial_s / requested_s,
-    }
-
-    jobs = [
-        (av[start : start + chunk], searches["scan_many"])
-        for start in range(0, SCAN_ROWS, chunk)
-    ]
-    serial_s, serial_parts = _best_of(
-        lambda: attr_vect_search_many(jobs, max_workers=1), rounds=SCAN_ROUNDS
-    )
-    requested_s, requested_parts = _best_of(
-        lambda: attr_vect_search_many(jobs, max_workers=SCAN_WORKERS),
-        rounds=SCAN_ROUNDS,
-    )
-    for got, want in zip(requested_parts, serial_parts):
-        assert got.tolist() == want.tolist()
-    runs["scan_many"] = {
-        "rows": SCAN_ROWS,
-        "partitions": len(jobs),
-        "serial_s": serial_s,
-        "parallel_request_s": requested_s,
-        "ratio": serial_s / requested_s,
-    }
-    shutdown_scan_pools()
-    return runs
-
-
-def test_parallel_request_never_slower_than_serial(dispatch_runs):
-    for label, run in dispatch_runs.items():
-        assert run["ratio"] >= MIN_DISPATCH_RATIO, (label, run)
-
-
-# ----------------------------------------------------------------------
 # Report
 # ----------------------------------------------------------------------
 
 
-def test_report_kernels_bench(ed3_run, dispatch_runs):
+def test_report_kernels_bench(ed3_run):
     stats = BenchStats.capture()
     text = format_table(
         f"ED3 dictionary scan, {DICT_ENTRIES:,} entries (warm, best of "
@@ -222,23 +138,10 @@ def test_report_kernels_bench(ed3_run, dispatch_runs):
             ),
         ],
     )
-    text += (
-        f"\nAdaptive dispatch ({detected_cores()} core(s), "
-        f"{SCAN_WORKERS} workers requested, {SCAN_ROWS:,} rows): "
-        + "; ".join(
-            f"{label} serial/parallel-request ratio {run['ratio']:.2f}x"
-            for label, run in dispatch_runs.items()
-        )
-        + ".\n"
-    )
     write_result("kernels", text)
 
     payload = {
         "ed3_dictionary_scan": ed3_run,
-        "adaptive_dispatch": {
-            **dispatch_runs,
-            "min_ratio": MIN_DISPATCH_RATIO,
-        },
         "bench_stats": stats.to_dict(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -1,15 +1,14 @@
-"""Partitioned column store: parallel scans and incremental merge (PR 3).
+"""Partitioned column store: per-partition scans and incremental merge (PR 3).
 
 Two claims are measured and asserted, then emitted as machine-readable
 ``results/BENCH_partition.json`` (uploaded by the ``partition-bench`` CI
 job):
 
-1. **Parallel partition scans win.** A >=1M-row attribute vector split into
-   partitions and scanned through the shared pool (numpy comparisons
-   release the GIL) beats the single-partition sequential scan wall-clock,
-   for both the range path (ED1, sorted dictionary) and the explicit
-   ValueID path (ED3, unsorted dictionary) — and returns the identical
-   RecordID set.
+1. **Partitioned scans are equivalent.** A >=1M-row attribute vector split
+   into partitions and scanned one partition after another returns the
+   identical RecordID set as the single-vector scan, for both the range
+   path (ED1, sorted dictionary) and the explicit ValueID path (ED3,
+   unsorted dictionary); both wall-clock times are recorded.
 
 2. **Merge cost tracks dirty partitions.** Merging a table with one dirty
    partition rebuilds one partition slot and is faster than merging the
@@ -23,7 +22,6 @@ must match the plaintext ground truth exactly under both layouts.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import numpy as np
@@ -34,29 +32,13 @@ from repro import EncDBDBSystem
 from repro.bench import BenchStats
 from repro.bench.report import format_table
 from repro.crypto.drbg import HmacDrbg
-from repro.encdict.attrvect import (
-    attr_vect_search,
-    attr_vect_search_many,
-    shutdown_scan_pools,
-)
+from repro.encdict.attrvect import attr_vect_search, attr_vect_search_many
 from repro.encdict.search import DUMMY_RANGE, SearchResult
-from repro.runtime import SCAN_POOL, last_dispatch
 from repro.workloads.queries import expected_result_rows, random_range_queries
 
 SCAN_ROWS = 1 << 20  # >= 1M rows, the acceptance floor
 SCAN_PARTITIONS = 8
-SCAN_WORKERS = 4
 SCAN_ROUNDS = 3
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-CORES = _available_cores()
 MERGE_ROWS = 4000
 MERGE_PARTITION_ROWS = 500
 
@@ -93,51 +75,35 @@ def scan_runs(attribute_vector):
     runs = {}
     for kind, search in SEARCHES.items():
         sequential_s, sequential = _best_of(
-            lambda: attr_vect_search(attribute_vector, search, max_workers=1)
+            lambda: attr_vect_search(attribute_vector, search)
         )
         jobs = [
             (attribute_vector[start : start + chunk], search) for start in starts
         ]
 
-        def parallel_union():
-            parts = attr_vect_search_many(jobs, max_workers=SCAN_WORKERS)
+        def partitioned_union():
+            parts = attr_vect_search_many(jobs)
             return np.concatenate(
                 [rids + start for rids, start in zip(parts, starts)]
             )
 
-        parallel_s, parallel = _best_of(parallel_union)
-        assert parallel.tolist() == sequential.tolist()  # identical RecordIDs
+        partitioned_s, partitioned = _best_of(partitioned_union)
+        assert partitioned.tolist() == sequential.tolist()  # identical RecordIDs
         runs[kind] = {
             "rows": SCAN_ROWS,
             "partitions": SCAN_PARTITIONS,
-            "workers": SCAN_WORKERS,
-            "cores": CORES,
             "matches": int(len(sequential)),
             "sequential_s": sequential_s,
-            "parallel_s": parallel_s,
-            "speedup": sequential_s / parallel_s,
-            "dispatch": last_dispatch(SCAN_POOL),
+            "partitioned_s": partitioned_s,
         }
-    shutdown_scan_pools()
     return runs
 
 
-def test_parallel_partition_scan_beats_single_partition(scan_runs):
-    if CORES < 2:
-        # A thread pool cannot beat wall-clock on one core; the numbers are
-        # still recorded in BENCH_partition.json, and CI (multi-core
-        # runners) enforces the strict claim.
-        pytest.skip(f"needs >= 2 CPU cores to parallelize (have {CORES})")
+def test_partitioned_scan_matches_single_vector_scan(scan_runs):
+    # RecordID identity is asserted while measuring; both shapes must match
+    # something for that comparison to mean anything.
     for kind, run in scan_runs.items():
-        assert run["parallel_s"] < run["sequential_s"], (kind, run)
-
-
-def test_parallel_request_never_slower_than_serial(scan_runs):
-    """The PR 6 floor, enforced on every host: asking for workers must not
-    lose wall-clock — adaptive dispatch picks serial when a pool cannot win
-    (the pre-PR-6 numbers on one core were 0.82x)."""
-    for kind, run in scan_runs.items():
-        assert run["speedup"] >= 0.95, (kind, run)
+        assert run["matches"] > 0, kind
 
 
 # ----------------------------------------------------------------------
@@ -235,18 +201,15 @@ def test_report_partition_bench(scan_runs, merge_runs, figure7_equivalence):
             kind,
             f"{run['rows']:,}",
             run["partitions"],
-            run["workers"],
             f"{run['sequential_s'] * 1e3:.1f}",
-            f"{run['parallel_s'] * 1e3:.1f}",
-            f"{run['speedup']:.2f}x",
+            f"{run['partitioned_s'] * 1e3:.1f}",
         )
         for kind, run in scan_runs.items()
     ]
     text = format_table(
         f"Partitioned attribute-vector scan ({SCAN_ROWS:,} rows, "
-        f"{SCAN_PARTITIONS} partitions, {SCAN_WORKERS} workers, best of "
-        f"{SCAN_ROUNDS})",
-        ["kind", "rows", "parts", "workers", "seq ms", "par ms", "speedup"],
+        f"{SCAN_PARTITIONS} partitions, best of {SCAN_ROUNDS})",
+        ["kind", "rows", "parts", "single ms", "partitioned ms"],
         rows,
     )
     text += (

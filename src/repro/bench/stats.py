@@ -1,24 +1,19 @@
 """Host and dispatch context captured alongside benchmark numbers (PR 6).
 
-A speedup ratio without the host it was measured on is unreadable: the
-0.82x "parallel speedup" that motivated adaptive dispatch only made sense
-next to ``cores: 1``. :class:`BenchStats` bundles the facts every
-``BENCH_*.json`` payload should carry — detected cores, the configured
-worker knob, whether adaptive dispatch is active, and the per-kind
-serial/parallel decisions the runtime actually made during the run — so
-regression guards can be conditioned on the host instead of skipped.
+A speedup ratio without the host it was measured on is unreadable: a
+0.82x "parallel speedup" only makes sense next to ``cores: 1``.
+:class:`BenchStats` bundles the facts every ``BENCH_*.json`` payload
+should carry — detected cores, the configured build worker count, and the
+per-kind serial/parallel decisions the runtime actually made during the
+run — so regression guards can be conditioned on the host instead of
+skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.runtime import (
-    adaptive_dispatch_enabled,
-    configured_workers,
-    detected_cores,
-    dispatch_stats,
-)
+from repro.runtime import configured_workers, detected_cores, dispatch_stats
 
 __all__ = ["BenchStats"]
 
@@ -29,7 +24,6 @@ class BenchStats:
 
     cores: int
     workers: int
-    adaptive: bool
     dispatch: dict[str, dict] = field(default_factory=dict)
 
     @classmethod
@@ -38,7 +32,6 @@ class BenchStats:
         return cls(
             cores=detected_cores(),
             workers=configured_workers(),
-            adaptive=adaptive_dispatch_enabled(),
             dispatch=dispatch_stats(),
         )
 
@@ -47,6 +40,5 @@ class BenchStats:
         return {
             "cores": self.cores,
             "workers": self.workers,
-            "adaptive": self.adaptive,
             "dispatch": self.dispatch,
         }

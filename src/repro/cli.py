@@ -228,13 +228,6 @@ def serve_main(argv: list[str]) -> int:
         "every provisioning (restart without re-attestation)",
     )
     parser.add_argument(
-        "--scan-workers",
-        type=int,
-        default=None,
-        help="worker threads for parallel attribute-vector scans and merge "
-        "preparation (default: ENCDBDB_SCAN_WORKERS or 4)",
-    )
-    parser.add_argument(
         "--shard",
         type=int,
         default=None,
@@ -250,7 +243,7 @@ def serve_main(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    dbms = EncDBDBServer(scan_workers=args.scan_workers)
+    dbms = EncDBDBServer()
     if args.load:
         dbms.load(args.load)
     if args.replica_of:

@@ -153,27 +153,24 @@ class DataOwner:
         *,
         partition_rows: int | None = None,
         max_workers: int | None = None,
-        executor: str = "thread",
     ) -> int:
         """Step 4: split/encrypt every column and bulk-import the table.
 
         ``partition_rows`` selects a partitioned layout: every column is
         built as fixed-row-count per-partition dictionaries — by the
         streaming build pipeline, whose (column × partition) tasks run on
-        ``max_workers`` ``executor`` workers ("serial"/"thread"/"process";
-        artifacts are byte-identical across all three). Column sources may
-        then be any row-order iterables, including generators. Against an
-        in-process server the partitions stream into the column store as
-        they complete, so peak transient memory is O(partition); a remote
+        up to ``max_workers`` threads (artifacts are byte-identical for any
+        worker count). Column sources may then be any row-order iterables,
+        including generators. Against an in-process server the partitions
+        stream into the column store as they complete, so peak transient
+        memory is O(partition); a remote
         server (one ``bulk_load`` payload on the wire) gets the collected
         builds. Without ``partition_rows`` the historical single-dictionary
         build is used. Either way the layout is the owner's choice; the
         server only ever sees finished builds.
         """
         if partition_rows is not None:
-            pipeline = BuildPipeline(
-                pae=self.pae, max_workers=max_workers, executor=executor
-            )
+            pipeline = BuildPipeline(pae=self.pae, max_workers=max_workers)
             plans = self.build_plans(server, table_name, columns)
             load_stream = getattr(server, "bulk_load_stream", None)
             if load_stream is not None:

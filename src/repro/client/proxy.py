@@ -112,13 +112,6 @@ class Proxy:
         # silently absent there (partition layout never crosses the wire).
         catalog = getattr(self._server, "catalog", None)
         lines = partition_fanout_lines(plan, catalog)
-        if catalog is not None:
-            # Same visibility rule for the runtime's serial/parallel
-            # dispatch state: host facts (cores, past decisions), shown
-            # only where the server itself is observable.
-            from repro.runtime import dispatch_summary
-
-            lines.append(f"dispatch: {dispatch_summary()}")
         # Cluster deployments surface their shard routing the same way: the
         # router exposes an ``explain_routing`` hook over its shard map
         # (topology facts only — endpoints and partition spans).

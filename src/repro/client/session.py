@@ -95,14 +95,13 @@ class EncDBDBSystem:
         *,
         partition_rows: int | None = None,
         max_workers: int | None = None,
-        executor: str = "thread",
     ) -> int:
         """Data-owner bulk import: EncDB locally, deploy ciphertext only.
 
         ``partition_rows`` selects a partitioned main-store layout (one
         independent encrypted dictionary per fixed-row-count chunk), built
-        by the owner's streaming pipeline on ``max_workers`` ``executor``
-        workers — artifacts are byte-identical for any worker count.
+        by the owner's streaming pipeline on up to ``max_workers`` threads
+        — artifacts are byte-identical for any worker count.
         """
         return self.owner.deploy_table(
             self.server,
@@ -110,7 +109,6 @@ class EncDBDBSystem:
             columns,
             partition_rows=partition_rows,
             max_workers=max_workers,
-            executor=executor,
         )
 
     def merge(self, table_name: str) -> int:

@@ -96,7 +96,6 @@ class ClusterCoordinator:
         *,
         partition_rows: int,
         max_workers: int | None = None,
-        executor: str = "thread",
     ) -> TableAssignment:
         """Assign spans, then stream the table out through the router.
 
@@ -120,7 +119,6 @@ class ClusterCoordinator:
                 sized,
                 partition_rows=partition_rows,
                 max_workers=max_workers,
-                executor=executor,
             )
         except BaseException:
             self.shard_map.drop(table_name)
@@ -245,12 +243,10 @@ class ClusterSystem(EncDBDBSystem):
         *,
         partition_rows: int,
         max_workers: int | None = None,
-        executor: str = "thread",
     ) -> TableAssignment:
         return self.coordinator.deploy_table(
             table_name,
             columns,
             partition_rows=partition_rows,
             max_workers=max_workers,
-            executor=executor,
         )

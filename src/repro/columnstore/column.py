@@ -4,8 +4,7 @@ Each column of a table is split into a read-optimized *main store* (any
 dictionary kind) and an append-only *delta store*. The main store is a
 sequence of fixed-row-count **partitions** (``columnstore/partition.py``),
 each with its own dictionary + attribute vector: partition-granular layout
-bounds the enclave working set per search, lets attribute-vector scans fan
-out across partitions on the shared pool, and lets the merge rebuild only
+bounds the enclave working set per search and lets the merge rebuild only
 partitions whose rows actually changed. For encrypted columns the delta
 store is always ED9 — one probabilistically encrypted dictionary entry per
 inserted value, searched with the linear ``EnclDictSearch 9`` — so neither
@@ -488,16 +487,13 @@ class EncryptedStoredColumn:
         labeled_results: Sequence[tuple[Any, SearchResult]],
         *,
         cost_model=None,
-        max_workers: int | None = None,
         scan_cache: dict | None = None,
-        adaptive: bool | None = None,
     ) -> np.ndarray:
         """Turn the enclave's per-store :class:`SearchResult`\\ s into global
         RecordIDs (the untrusted ``AttrVectSearch`` half of a query).
 
-        Main-partition scans fan out on the shared pool when more than one
-        partition is involved and adaptive dispatch judges the fan-out
-        worthwhile; partition-local RecordIDs are offset by the partition
+        Main partitions are scanned one after another in the calling
+        thread; partition-local RecordIDs are offset by the partition
         start so the union is the global answer. ``scan_cache`` (per-query,
         executor-owned) memoizes each partition scan by ``(column,
         partition, result shape)`` so identical filters on one column
@@ -543,32 +539,16 @@ class EncryptedStoredColumn:
             else:
                 raise QueryError(f"unknown search-store label {label!r}")
 
-        if len(pending) == 1:
-            # Single partition: keep the chunked scan of the one vector.
-            slot, build, index, result, signature = pending[0]
-            rids = attr_vect_search(
-                build.attribute_vector,
-                result,
-                cost_model=cost_model,
-                max_workers=max_workers,
-                adaptive=adaptive,
-            )
-            global_rids = rids + starts[index]
-            if signature is not None:
-                scan_cache[signature] = global_rids
-            parts[slot] = global_rids
-        elif pending:
-            # Multi-partition fan-out: the partitions are the parallelism
-            # units, scanned concurrently on the shared pool.
-            rids_list = attr_vect_search_many(
-                [
-                    (build.attribute_vector, result)
-                    for _, build, _, result, _ in pending
-                ],
-                cost_model=cost_model,
-                max_workers=max_workers,
-                adaptive=adaptive,
-            )
+        if pending:
+            jobs = [
+                (build.attribute_vector, result)
+                for _, build, _, result, _ in pending
+            ]
+            if len(jobs) == 1:
+                rids_list = [attr_vect_search(*jobs[0], cost_model=cost_model)]
+            else:
+                # One up-front cost charge, then a per-partition loop.
+                rids_list = attr_vect_search_many(jobs, cost_model=cost_model)
             for (slot, _, index, _, signature), rids in zip(pending, rids_list):
                 global_rids = rids + starts[index]
                 if signature is not None:
@@ -584,9 +564,7 @@ class EncryptedStoredColumn:
         tau: tuple[bytes, bytes],
         host: EnclaveHost,
         *,
-        max_workers: int | None = None,
         scan_cache: dict | None = None,
-        adaptive: bool | None = None,
     ) -> np.ndarray:
         """Global RecordIDs matching the encrypted range ``τ``.
 
@@ -599,11 +577,7 @@ class EncryptedStoredColumn:
             for label, dictionary, request_tau in self.search_requests(tau)
         ]
         return self.record_ids_from_results(
-            labeled,
-            cost_model=host.cost_model,
-            max_workers=max_workers,
-            scan_cache=scan_cache,
-            adaptive=adaptive,
+            labeled, cost_model=host.cost_model, scan_cache=scan_cache
         )
 
     def partition_snapshot(self) -> list[BuildResult]:

@@ -5,9 +5,9 @@ own dictionary + attribute vector (plaintext or encrypted). RecordIDs stay
 global — main-store rows first in partition order, delta rows after — and
 map to ``(partition, offset)`` through the cumulative partition lengths.
 Partitioning is a *layout* property: it never changes which RecordIDs a
-query returns, only how the work is split (per-partition dictionary
-searches fan out in the enclave, per-partition attribute-vector scans fan
-out on the shared pool, and the merge rebuilds only dirty partitions).
+query returns, only how the work is split (one dictionary search and one
+attribute-vector scan per partition, and the merge rebuilds only dirty
+partitions).
 
 All columns of one table share identical per-partition lengths so rows stay
 aligned across columns; :func:`partition_lengths` is the canonical split of

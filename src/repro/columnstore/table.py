@@ -101,11 +101,17 @@ class Table:
         return live
 
     def filter_valid(self, record_ids: np.ndarray) -> np.ndarray:
-        """Drop RecordIDs whose validity bit is cleared (read-path merge)."""
+        """Drop RecordIDs whose validity bit is cleared (read-path merge).
+
+        The validity vector is an insert's commit point: a concurrent
+        insert appends to each column's delta store before
+        :meth:`register_insert` runs, so a scan may already return that
+        row's RecordID — past the end of the vector, not yet visible.
+        """
         record_ids = np.asarray(record_ids, dtype=np.int64)
-        if len(record_ids) == 0:
-            return record_ids
-        return record_ids[self._validity[record_ids]]
+        validity = self._validity
+        record_ids = record_ids[record_ids < len(validity)]
+        return record_ids[validity[record_ids]]
 
     def all_valid_rids(self) -> np.ndarray:
         return np.nonzero(self._validity)[0].astype(np.int64)

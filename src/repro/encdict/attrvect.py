@@ -3,10 +3,9 @@
 Runs entirely outside the enclave (paper §3.1): given the ValueID ranges or
 list produced by ``EnclDictSearch``, it linearly scans the attribute vector
 and returns the matching RecordIDs. Only integers are compared, which the
-paper highlights as highly optimized and easily parallelizable — here the
-scan is vectorized with numpy, and large vectors can additionally be split
-into chunks scanned by a thread pool (numpy comparisons release the GIL),
-the Python equivalent of that observation.
+paper highlights as highly optimized — here the scan is one vectorized
+numpy pass per attribute vector, run in the calling thread (DESIGN.md §9
+records why no worker pool wraps it).
 
 Cost accounting is *uniform over range slots*: every slot of
 ``result.ranges`` — real, empty (``low > high``), or the explicit
@@ -23,45 +22,12 @@ result shape. The explicit-ValueID path (unsorted dictionaries) charges
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import Executor
 from typing import Sequence
 
 import numpy as np
 
 from repro.encdict.search import DUMMY_RANGE, SearchResult
-from repro.runtime import (
-    SCAN_POOL,
-    dispatch_decision,
-    kernel_cost,
-    note_kernel_cost,
-    shared_pool,
-    shutdown_pool,
-)
 from repro.sgx.costs import CostModel
-
-#: Default rows per chunk when a chunked scan is requested without a size.
-DEFAULT_SCAN_CHUNK_ROWS = 1 << 18
-
-
-def _shared_pool(max_workers: int) -> Executor:
-    """The process-wide scan pool (named slot in the runtime registry).
-
-    The registry keeps one lazily created pool per name and resizes it
-    upward only — a request for fewer workers reuses the bigger pool; the
-    caller still bounds its own fan-out by how much work it submits. Call
-    :func:`shutdown_scan_pools` to release the threads explicitly.
-    """
-    return shared_pool(SCAN_POOL, max_workers, thread_name_prefix="attrvect-scan")
-
-
-def shutdown_scan_pools(wait: bool = True) -> None:
-    """Explicitly release the shared scan pool (server shutdown hook).
-
-    Idempotent and concurrent-safe (the registry guarantees each executor
-    is shut down exactly once); the next scan lazily recreates the pool.
-    """
-    shutdown_pool(SCAN_POOL, wait=wait)
 
 
 def _prepare_scan(
@@ -97,24 +63,21 @@ def _prepare_scan(
     return comparisons, matchable_ranges, vids
 
 
-def _scan_mask(
-    segment: np.ndarray,
+def _scan(
+    attribute_vector: np.ndarray,
     ranges: Sequence[tuple[int, int]],
     vids: np.ndarray | None,
 ) -> np.ndarray:
-    """Boolean match mask of one attribute-vector segment."""
-    mask = np.zeros(len(segment), dtype=bool)
+    """RecordIDs of one prepared scan (no cost accounting)."""
+    # Short-circuit: nothing can match (all slots dummy/empty, no ValueIDs).
+    if len(attribute_vector) == 0 or (not ranges and vids is None):
+        return np.empty(0, dtype=np.int64)
+    mask = np.zeros(len(attribute_vector), dtype=bool)
     for low, high in ranges:
-        mask |= (segment >= low) & (segment <= high)
+        mask |= (attribute_vector >= low) & (attribute_vector <= high)
     if vids is not None:
-        mask |= np.isin(segment, vids)
-    return mask
-
-
-def _estimated_scan_s(rows: int) -> float | None:
-    """Estimated serial cost of scanning ``rows``, from measured history."""
-    rate = kernel_cost(SCAN_POOL)
-    return rate * rows if rate is not None else None
+        mask |= np.isin(attribute_vector, vids)
+    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def attr_vect_search(
@@ -122,9 +85,6 @@ def attr_vect_search(
     result: SearchResult,
     *,
     cost_model: CostModel | None = None,
-    chunk_rows: int | None = None,
-    max_workers: int | None = None,
-    adaptive: bool | None = None,
 ) -> np.ndarray:
     """RecordIDs whose ValueID matches the dictionary-search result.
 
@@ -133,114 +93,32 @@ def attr_vect_search(
     slots; for explicit ValueID lists (unsorted dictionaries) every entry
     is compared against every returned ValueID — the ``O(|AV| * |vid|)``
     cost of Table 4.
-
-    When ``chunk_rows`` is given (and ``max_workers > 1``), vectors larger
-    than one chunk are scanned in slices on a shared thread pool — unless
-    adaptive dispatch (:func:`repro.runtime.dispatch_decision`) determines
-    the fan-out cannot win (too few cores, or the estimated work is smaller
-    than the pool's own per-task overhead), in which case the scan stays
-    serial. ``adaptive=False`` forces the legacy always-parallel behaviour.
-    Either way the result is bit-identical to the single-shot scan and the
-    cost accounting is unaffected — dispatch changes wall-clock time only.
     """
-    n = len(attribute_vector)
     comparisons, matchable_ranges, vids = _prepare_scan(attribute_vector, result)
     if cost_model is not None:
         cost_model.record_comparison(comparisons)
-
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-
-    # Short-circuit: nothing can match (all slots dummy/empty, no ValueIDs).
-    if not matchable_ranges and vids is None:
-        return np.empty(0, dtype=np.int64)
-
-    if chunk_rows is None:
-        chunk_rows = DEFAULT_SCAN_CHUNK_ROWS
-    workers = max_workers if max_workers is not None else 1
-    decision = None
-    if workers > 1 and n > chunk_rows:
-        decision = dispatch_decision(
-            SCAN_POOL,
-            requested_workers=workers,
-            jobs=(n + chunk_rows - 1) // chunk_rows,
-            estimated_serial_s=_estimated_scan_s(n),
-            adaptive=adaptive,
-        )
-    if decision is not None and decision.parallel:
-        starts = range(0, n, chunk_rows)
-        pool = _shared_pool(decision.workers)
-        masks = list(
-            pool.map(
-                lambda start: _scan_mask(
-                    attribute_vector[start : start + chunk_rows],
-                    matchable_ranges,
-                    vids,
-                ),
-                starts,
-            )
-        )
-        mask = np.concatenate(masks)
-    else:
-        start = time.perf_counter()
-        mask = _scan_mask(attribute_vector, matchable_ranges, vids)
-        note_kernel_cost(SCAN_POOL, (time.perf_counter() - start) / n)
-    return np.nonzero(mask)[0].astype(np.int64)
+    return _scan(attribute_vector, matchable_ranges, vids)
 
 
 def attr_vect_search_many(
     jobs: Sequence[tuple[np.ndarray, SearchResult]],
     *,
     cost_model: CostModel | None = None,
-    max_workers: int | None = None,
-    adaptive: bool | None = None,
 ) -> list[np.ndarray]:
     """Scan many (attribute vector, search result) pairs — one per column
     partition — returning per-job RecordID arrays (partition-local).
 
-    Cost accounting happens up front in the caller thread (one charge per
-    call, independent of worker scheduling) and equals the sum of the
-    per-job uniform charges — identical to scanning the concatenated vector,
-    so partitioning a column never changes its comparison count. Each job is
-    scanned single-shot (no nested chunking: the jobs themselves are the
-    parallelism units, and submitting chunked sub-scans from pool workers
-    into the same bounded pool could deadlock).
+    Cost accounting happens up front (one charge per call) and equals the
+    sum of the per-job uniform charges — identical to scanning the
+    concatenated vector, so partitioning a column never changes its
+    comparison count.
     """
-    prepared = []
-    total_comparisons = 0
-    total_rows = 0
-    for attribute_vector, result in jobs:
-        comparisons, matchable_ranges, vids = _prepare_scan(
-            attribute_vector, result
-        )
-        total_comparisons += comparisons
-        total_rows += len(attribute_vector)
-        prepared.append((attribute_vector, matchable_ranges, vids))
+    prepared = [
+        _prepare_scan(attribute_vector, result) for attribute_vector, result in jobs
+    ]
     if cost_model is not None:
-        cost_model.record_comparison(total_comparisons)
-
-    def scan(job: tuple) -> np.ndarray:
-        attribute_vector, matchable_ranges, vids = job
-        if len(attribute_vector) == 0 or (not matchable_ranges and vids is None):
-            return np.empty(0, dtype=np.int64)
-        mask = _scan_mask(attribute_vector, matchable_ranges, vids)
-        return np.nonzero(mask)[0].astype(np.int64)
-
-    workers = max_workers if max_workers is not None else 1
-    decision = None
-    if workers > 1 and len(prepared) > 1:
-        decision = dispatch_decision(
-            SCAN_POOL,
-            requested_workers=workers,
-            jobs=len(prepared),
-            estimated_serial_s=_estimated_scan_s(total_rows),
-            adaptive=adaptive,
-        )
-    if decision is not None and decision.parallel:
-        pool = _shared_pool(decision.workers)
-        return list(pool.map(scan, prepared))
-    start = time.perf_counter()
-    out = [scan(job) for job in prepared]
-    if total_rows > 0:
-        note_kernel_cost(SCAN_POOL, (time.perf_counter() - start) / total_rows)
-    return out
+        cost_model.record_comparison(sum(comparisons for comparisons, _, _ in prepared))
+    return [
+        _scan(attribute_vector, matchable_ranges, vids)
+        for (attribute_vector, _), (_, matchable_ranges, vids) in zip(jobs, prepared)
+    ]

@@ -16,10 +16,9 @@ in partition-sized slices:
 
     slice(p+1) … runs while p's builds are still in flight (bounded window)
 
-- **Parallel.** Tasks run on a shared thread pool (the pattern of
-  ``attrvect.py``'s scan pool) or a process pool for CPU-bound multi-core
-  builds; the fan-out defaults to the same knob as the scan pool
-  (``ENCDBDB_SCAN_WORKERS``, :mod:`repro.runtime`).
+- **Parallel.** Tasks run on the shared build thread pool, or inline when
+  one worker is requested or the host has one core; the fan-out defaults
+  to ``ENCDBDB_BUILD_WORKERS`` (:mod:`repro.runtime`).
 - **Deterministic.** Every task's randomness (bucket splits, rotation
   offsets, shuffles, PAE IVs) comes from DRBGs pre-derived per (column,
   partition) by :func:`~repro.encdict.builder.derive_partition_rngs`, so a
@@ -46,63 +45,35 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from repro.columnstore.types import ColumnSpec, ValueType
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.pae import Pae, default_pae
+from repro.crypto.pae import Pae
 from repro.encdict.builder import BuildResult, encdb_build
 from repro.encdict.options import EncryptedDictionaryKind
 from repro.exceptions import CatalogError
 from repro.runtime import (
-    BUILD_PROCESS_POOL,
     BUILD_THREAD_POOL,
     configured_workers,
     dispatch_decision,
-    map_on_build_pool,
     shared_pool,
     shutdown_pool,
 )
 
-#: Dispatch-log kind under which the pipeline records its serial/parallel
-#: choice (shown by EXPLAIN and BenchStats).
+#: Dispatch-log kind under which the pipeline records its inline/pool
+#: choice (shown by BenchStats).
 BUILD_DISPATCH = "build-pipeline"
 
 __all__ = [
     "BuildPipeline",
     "BuildTask",
     "ColumnPlan",
-    "EXECUTOR_KINDS",
     "PartitionBuild",
     "build_encrypt_operations",
-    "map_on_build_pool",  # re-export; lives in repro.runtime since PR 5
     "shutdown_build_pools",
 ]
 
-#: Executor kinds the pipeline can run build tasks on.
-EXECUTOR_KINDS = ("serial", "thread", "process")
-
-
-# ----------------------------------------------------------------------
-# Shared pools (named slots in the repro.runtime registry)
-# ----------------------------------------------------------------------
-def _shared_thread_pool(max_workers: int) -> Executor:
-    """The process-wide build thread pool, resized upward."""
-    return shared_pool(
-        BUILD_THREAD_POOL, max_workers, thread_name_prefix="encdb-build"
-    )
-
-
-def _shared_process_pool(max_workers: int) -> Executor:
-    """The process-wide build process pool.
-
-    Worker processes import this module and run :func:`_run_build_task`
-    with their own PAE backend; ciphertexts depend only on the task's key
-    and DRBGs, never on which process seals them.
-    """
-    return shared_pool(BUILD_PROCESS_POOL, max_workers, kind="process")
-
 
 def shutdown_build_pools(wait: bool = True) -> None:
-    """Release the shared build pools (server shutdown hook). Idempotent."""
+    """Release the shared build thread pool (owner teardown). Idempotent."""
     shutdown_pool(BUILD_THREAD_POOL, wait=wait)
-    shutdown_pool(BUILD_PROCESS_POOL, wait=wait)
 
 
 # ----------------------------------------------------------------------
@@ -112,9 +83,9 @@ def shutdown_build_pools(wait: bool = True) -> None:
 class BuildTask:
     """One (column × partition) unit of the build DAG.
 
-    Self-contained and picklable: the values slice plus the pre-derived
-    DRBGs. Executing it touches no shared mutable state, which is exactly
-    why tasks may run on any worker in any order.
+    Self-contained: the values slice plus the pre-derived DRBGs. Executing
+    it touches no shared mutable state, which is exactly why tasks may run
+    on any worker in any order.
     """
 
     table_name: str
@@ -143,16 +114,6 @@ def _execute_build_task(task: BuildTask, pae: Pae) -> BuildResult:
         column_name=task.column_name,
         encrypted=True,
     )
-
-
-def _run_build_task(task: BuildTask) -> BuildResult:
-    """Process-pool entry point: build with a worker-local PAE backend.
-
-    AES-GCM is deterministic given (key, IV), so the backend instance is
-    irrelevant to the produced bytes; operation counts are reconciled into
-    the parent's backend by the pipeline (:meth:`BuildPipeline._collect`).
-    """
-    return _execute_build_task(task, default_pae())
 
 
 def build_encrypt_operations(build: BuildResult) -> int:
@@ -223,16 +184,10 @@ def _partition_rng_stream(
 class BuildPipeline:
     """Orchestrates a streamed multi-column build over a bounded pool.
 
-    ``executor`` selects where build tasks run:
-
-    - ``"serial"`` — inline in the calling thread (the reference path;
-      still streamed and batched);
-    - ``"thread"`` — the shared build thread pool. Useful when the PAE
-      backend releases the GIL and always safe; the default.
-    - ``"process"`` — the shared process pool, for multi-core speedups on
-      CPU-bound builds (the Python split/arrange stages hold the GIL).
-
-    All three produce byte-identical artifacts; only wall-clock differs.
+    Build tasks run inline in the calling thread when ``max_workers == 1``
+    or the host has a single core, otherwise on the shared build thread
+    pool (:func:`repro.runtime.dispatch_decision` records the choice).
+    Both produce byte-identical artifacts; only wall-clock differs.
     """
 
     def __init__(
@@ -240,35 +195,17 @@ class BuildPipeline:
         *,
         pae: Pae,
         max_workers: int | None = None,
-        executor: str = "thread",
         max_inflight_partitions: int | None = None,
-        adaptive: bool | None = None,
     ) -> None:
-        if executor not in EXECUTOR_KINDS:
-            raise CatalogError(
-                f"unknown build executor {executor!r}; pick from {EXECUTOR_KINDS}"
-            )
         self.pae = pae
         self.max_workers = (
             max_workers if max_workers is not None else configured_workers()
         )
-        #: The executor kind the caller asked for, before any downgrade.
-        self.requested_executor = executor
-        self.executor = executor if self.max_workers > 1 else "serial"
-        if self.executor != "serial":
-            # Adaptive dispatch: on a host where workers cannot overlap,
-            # downgrade to the inline serial path — artifacts are
-            # byte-identical either way, only wall-clock differs. Thread
-            # pools never beat serial on one core, and process pools lose
-            # their fork/pickle cost too. ``adaptive=False`` pins the
-            # requested executor (tests exercise the real pools with it).
-            decision = dispatch_decision(
-                BUILD_DISPATCH,
-                requested_workers=self.max_workers,
-                adaptive=adaptive,
-            )
-            if not decision.parallel:
-                self.executor = "serial"
+        decision = dispatch_decision(
+            BUILD_DISPATCH, requested_workers=self.max_workers
+        )
+        #: Pool size build tasks fan out over; 0 runs them inline.
+        self.pool_workers = decision.workers if decision.parallel else 0
         # The backpressure window: how many partitions may hold plaintext
         # (and in-flight build state) at once. Bounds peak build-side
         # memory at O(max_inflight_partitions * partition_rows).
@@ -282,24 +219,21 @@ class BuildPipeline:
 
     # ------------------------------------------------------------------
     def _pool(self) -> Executor | None:
-        if self.executor == "thread":
-            return _shared_thread_pool(self.max_workers)
-        if self.executor == "process":
-            return _shared_process_pool(self.max_workers)
-        return None
+        if not self.pool_workers:
+            return None
+        return shared_pool(
+            BUILD_THREAD_POOL, self.pool_workers, thread_name_prefix="encdb-build"
+        )
 
     def _submit(self, pool: Executor | None, task: BuildTask) -> Future:
-        future: Future
-        if pool is None:
-            future = Future()
-            try:
-                future.set_result(_execute_build_task(task, self.pae))
-            except BaseException as exc:  # pragma: no cover - propagated
-                future.set_exception(exc)
-            return future
-        if self.executor == "process":
-            return pool.submit(_run_build_task, task)
-        return pool.submit(_execute_build_task, task, self.pae)
+        if pool is not None:
+            return pool.submit(_execute_build_task, task, self.pae)
+        future: Future = Future()
+        try:
+            future.set_result(_execute_build_task(task, self.pae))
+        except BaseException as exc:  # pragma: no cover - propagated
+            future.set_exception(exc)
+        return future
 
     def _collect(self, pending: _PendingPartition) -> PartitionBuild:
         finished = PartitionBuild(
@@ -308,14 +242,7 @@ class BuildPipeline:
             plain_values=pending.plain_values,
         )
         for name, future in pending.futures.items():
-            build = future.result()
-            if self.executor == "process":
-                # Worker processes count on their own backends; fold the
-                # exact operation count back so accounting stays additive.
-                self.pae.add_operation_counts(
-                    encrypts=build_encrypt_operations(build)
-                )
-            finished.builds[name] = build
+            finished.builds[name] = future.result()
         return finished
 
     # ------------------------------------------------------------------

@@ -53,7 +53,6 @@ from repro.net.protocol import (
     read_frame_async,
 )
 from repro.net.verbs import FREE, VERBS
-from repro.runtime import shutdown_pools
 from repro.server.dbms import EncDBDBServer
 
 
@@ -83,18 +82,10 @@ class NetServer:
         max_sessions: int = 8,
         admission_timeout: float = 1.0,
         sealed_key_path: str | Path | None = None,
-        scan_workers: int | None = None,
         shard: int | None = None,
         drain_timeout: float = 1.0,
     ) -> None:
-        # ``scan_workers`` sizes the shared scan/build worker pools of a
-        # server this front end constructs itself; with an injected DBMS the
-        # caller configures the DBMS directly.
-        self.dbms = (
-            dbms
-            if dbms is not None
-            else EncDBDBServer(scan_workers=scan_workers)
-        )
+        self.dbms = dbms if dbms is not None else EncDBDBServer()
         self.host = host
         self._requested_port = port
         self.max_sessions = max_sessions
@@ -142,20 +133,17 @@ class NetServer:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
-        # Drain before releasing the pools: RPCs already dispatched get up
-        # to ``drain_timeout`` to finish and flush their replies, then every
-        # remaining connection task — idle keep-alive sessions and any
-        # waiter still parked on the admission semaphore — is cancelled and
-        # awaited. Once the drain returns, ``self.sessions`` is empty and
-        # no task holds the provision lock, so the same NetServer instance
-        # can be ``start()``-ed again in-process without leaking sessions
-        # (the cluster tests restart shards exactly this way).
+        # Drain: RPCs already dispatched get up to ``drain_timeout`` to
+        # finish and flush their replies, then every remaining connection
+        # task — idle keep-alive sessions and any waiter still parked on the
+        # admission semaphore — is cancelled and awaited. Once the drain
+        # returns, ``self.sessions`` is empty and no task holds the
+        # provision lock, so the same NetServer instance can be
+        # ``start()``-ed again in-process without leaking sessions (the
+        # cluster tests restart shards exactly this way). A server owns no
+        # worker pool, so the process-wide ``repro.runtime`` registry — a
+        # co-located router's or data owner's — is left alone.
         await self._drain_sessions()
-        # Release every registered worker pool (scan + build). wait=False:
-        # in-flight chunk scans finish in the background instead of blocking
-        # the event loop; pools are lazily recreated if needed. The registry
-        # makes this idempotent even when several servers stop concurrently.
-        shutdown_pools(wait=False)
 
     async def _drain_sessions(self) -> None:
         tasks = {task for task in self._conn_tasks if not task.done()}

@@ -1,27 +1,25 @@
-"""Process-wide tuning knobs and the shared worker-pool registry.
+"""The build fan-out setting and the shared worker-pool registry.
 
-One knob governs the parallel fan-out of both untrusted hot paths: the
-attribute-vector *scan* pool (``repro.encdict.attrvect``) and the data
-owner's *build* pipeline (``repro.encdict.pipeline``). It is resolved in
-priority order:
+One deployment setting sizes the data owner's *build* pipeline
+(``repro.encdict.pipeline``) — the only CPU fan-out in the system; scans
+and merge preparation run in the thread that calls them. It is resolved
+in priority order:
 
-1. an explicit value passed through the server / pipeline configuration,
-2. the ``ENCDBDB_SCAN_WORKERS`` environment variable,
+1. an explicit ``max_workers`` passed to the pipeline,
+2. the ``ENCDBDB_BUILD_WORKERS`` environment variable,
 3. the built-in default of :data:`DEFAULT_WORKERS`.
 
-The registry below replaces the per-module pool globals that used to live
-in ``attrvect.py`` and ``pipeline.py``. Pools are named, created lazily,
-resized only upward (an executor serving in-flight work is never shrunk),
-and torn down idempotently — :func:`shutdown_pools` may race with itself,
-with :func:`shared_pool`, and with late ``shutdown_pool`` calls from
-several server instances without double-shutdown or leaked executors. All
-registry state is guarded by :data:`_pools_lock`; executor ``shutdown()``
-itself runs outside the lock so a ``wait=True`` teardown cannot block pool
-creation on other threads.
+Pools in the registry below are named, created lazily, resized only upward
+(an executor serving in-flight work is never shrunk), and torn down
+idempotently — :func:`shutdown_pools` may race with itself, with
+:func:`shared_pool`, and with late ``shutdown_pool`` calls without
+double-shutdown or leaked executors. All registry state is guarded by
+:data:`_pools_lock`; executor ``shutdown()`` itself runs outside the lock
+so a ``wait=True`` teardown cannot block pool creation on other threads.
 
 This module deliberately has no repro-internal imports so every layer
-(``sgx.cache``, ``encdict.attrvect``, ``encdict.pipeline``, ``net.server``)
-can use it without creating an import cycle.
+(``encdict.pipeline``, ``cluster.router``, ``bench.stats``) can use it
+without creating an import cycle.
 """
 
 from __future__ import annotations
@@ -29,27 +27,20 @@ from __future__ import annotations
 import logging
 import os
 import threading
-import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
-#: Built-in worker-pool fan-out when neither configuration nor environment
-#: says otherwise (the hard-coded value of the pre-PR-4 scan pool).
+#: Built-in build fan-out when neither the caller nor the environment says
+#: otherwise.
 DEFAULT_WORKERS = 4
 
 #: Environment variable overriding the default worker count.
-WORKERS_ENV = "ENCDBDB_SCAN_WORKERS"
-
-#: Environment variable switching adaptive serial/parallel dispatch off
-#: (``0`` disables it; anything else — including unset — leaves it on).
-ADAPTIVE_ENV = "ENCDBDB_ADAPTIVE_DISPATCH"
+WORKERS_ENV = "ENCDBDB_BUILD_WORKERS"
 
 _logger = logging.getLogger("repro.runtime")
 
 #: Registry names of the long-lived pools.
-SCAN_POOL = "attrvect-scan"
 BUILD_THREAD_POOL = "build-thread"
-BUILD_PROCESS_POOL = "build-process"
 CLUSTER_POOL = "cluster-scatter"
 
 _pools_lock = threading.RLock()
@@ -86,16 +77,15 @@ def _log_clamp_once(workers: int, cores: int) -> None:
     )
 
 
-def configured_workers(default: int | None = None) -> int:
-    """Resolve the shared worker-count knob (always at least 1).
+def configured_workers() -> int:
+    """Resolve the build worker count (always at least 1).
 
     A malformed environment value is ignored rather than fatal — a typo in
-    an operator's shell must not take the server down — and any resolved
-    value is clamped to ``>= 1`` so pool construction never fails. Explicit
-    values (environment or ``default``) are taken as operator intent; the
-    built-in default alone is additionally clamped to the detected CPU
-    count, so an unconfigured 1-core host never spins a 4-worker pool that
-    only adds scheduling overhead. The clamp is logged once per process.
+    an operator's shell must not take a load down — and the resolved value
+    is clamped to ``>= 1`` so pool construction never fails. An environment
+    value is taken as operator intent; the built-in default is additionally
+    clamped to the detected CPU count, so an unconfigured 1-core host never
+    asks for a 4-worker pool. The clamp is logged once per process.
     """
     raw = os.environ.get(WORKERS_ENV)
     if raw:
@@ -103,8 +93,6 @@ def configured_workers(default: int | None = None) -> int:
             return max(1, int(raw))
         except ValueError:
             pass
-    if default is not None:
-        return max(1, default)
     cores = detected_cores()
     workers = max(1, min(DEFAULT_WORKERS, cores))
     if workers < DEFAULT_WORKERS:
@@ -116,31 +104,25 @@ def shared_pool(
     name: str,
     max_workers: int,
     *,
-    kind: str = "thread",
     thread_name_prefix: str | None = None,
 ) -> Executor:
-    """The named process-wide executor, created or grown on demand.
+    """The named process-wide thread pool, created or grown on demand.
 
     Creating an executor per call would cost more than the fan-out saves,
     so each name maps to one long-lived pool. A request for more workers
     than the current pool has replaces it (the old pool drains in the
     background); a request for fewer reuses the larger pool — resizing is
-    upward-only, matching the pre-registry semantics of both hot paths.
+    upward-only.
     """
-    if kind not in ("thread", "process"):
-        raise ValueError(f"unknown pool kind {kind!r}")
     stale: Executor | None = None
     with _pools_lock:
         pool = _pools.get(name)
         if pool is None or _pool_workers.get(name, 0) < max_workers:
             stale = pool
-            if kind == "process":
-                pool = ProcessPoolExecutor(max_workers=max_workers)
-            else:
-                pool = ThreadPoolExecutor(
-                    max_workers=max_workers,
-                    thread_name_prefix=thread_name_prefix or f"encdbdb-{name}",
-                )
+            pool = ThreadPoolExecutor(
+                max_workers=max_workers,
+                thread_name_prefix=thread_name_prefix or f"encdbdb-{name}",
+            )
             _pools[name] = pool
             _pool_workers[name] = max_workers
     if stale is not None:
@@ -175,7 +157,7 @@ def shutdown_pool(name: str, *, wait: bool = True) -> None:
 
 
 def shutdown_pools(wait: bool = True) -> None:
-    """Release every registered pool (server shutdown hook). Idempotent.
+    """Release every registered pool (owner/router teardown). Idempotent.
 
     Concurrent calls partition the registry between themselves: each
     executor is shut down exactly once, and a ``shared_pool`` racing with
@@ -190,139 +172,47 @@ def shutdown_pools(wait: bool = True) -> None:
 
 
 # ----------------------------------------------------------------------
-# Adaptive serial/parallel dispatch (PR 6)
+# Where build tasks run
 # ----------------------------------------------------------------------
-#: How much larger than the measured pool-dispatch overhead the total work
-#: must be before fanning out can plausibly win wall-clock.
-PARALLEL_WORK_MARGIN = 4.0
-
 _dispatch_lock = threading.Lock()
-_dispatch_overhead: float | None = None  # guarded-by: _dispatch_lock
-_kernel_costs: dict[str, float] = {}  # guarded-by: _dispatch_lock
 _dispatch_log: dict[str, dict] = {}  # guarded-by: _dispatch_lock
 
 
 @dataclass(frozen=True)
 class DispatchDecision:
-    """One serial-vs-parallel choice, with the reason it was made."""
+    """One inline-vs-pool choice, with the reason it was made."""
 
     parallel: bool
     workers: int
     reason: str
 
 
-def adaptive_dispatch_enabled() -> bool:
-    """Whether adaptive dispatch is on (``ENCDBDB_ADAPTIVE_DISPATCH != 0``)."""
-    return os.environ.get(ADAPTIVE_ENV, "1") != "0"
+def dispatch_decision(kind: str, *, requested_workers: int) -> DispatchDecision:
+    """Inline or pooled execution for one fan-out opportunity, logged.
 
-
-def dispatch_overhead_s() -> float:
-    """Measured per-task overhead of routing work through a thread pool.
-
-    Calibrated lazily, once per process: a burst of no-op tasks through a
-    throwaway two-worker pool times the submit/schedule/collect round trip
-    that every parallel fan-out pays per item. Parallelism can only win
-    when the real per-item work dwarfs this number.
+    Two conditions keep the work inline: one requested worker, or a host
+    whose threads cannot overlap. Otherwise it runs on a pool of
+    ``min(requested_workers, cores)``.
     """
-    global _dispatch_overhead
-    with _dispatch_lock:
-        if _dispatch_overhead is not None:
-            return _dispatch_overhead
-    tasks = 256
-    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="encdbdb-cal")
-    try:
-        list(pool.map(_noop, range(16)))  # warm the workers up
-        start = time.perf_counter()
-        list(pool.map(_noop, range(tasks)))
-        elapsed = time.perf_counter() - start
-    finally:
-        pool.shutdown(wait=False)
-    per_task = max(elapsed / tasks, 1e-7)
-    with _dispatch_lock:
-        if _dispatch_overhead is None:
-            _dispatch_overhead = per_task
-        return _dispatch_overhead
-
-
-def _noop(_item) -> None:
-    return None
-
-
-def note_kernel_cost(kind: str, per_item_s: float) -> None:
-    """Fold one measured per-item kernel cost into the running estimate.
-
-    Callers on the hot paths (e.g. the attribute-vector scan) report how
-    long one unit of serial work took; :func:`dispatch_decision` compares
-    the estimate against the calibrated pool overhead. An exponential
-    moving average smooths scheduling noise.
-    """
-    if per_item_s <= 0.0:
-        return
-    with _dispatch_lock:
-        previous = _kernel_costs.get(kind)
-        _kernel_costs[kind] = (
-            per_item_s if previous is None else 0.5 * previous + 0.5 * per_item_s
-        )
-
-
-def kernel_cost(kind: str) -> float | None:
-    """The current per-item cost estimate for ``kind`` (None = unmeasured)."""
-    with _dispatch_lock:
-        return _kernel_costs.get(kind)
-
-
-def dispatch_decision(
-    kind: str,
-    *,
-    requested_workers: int,
-    jobs: int | None = None,
-    estimated_serial_s: float | None = None,
-    adaptive: bool | None = None,
-    record: bool = True,
-) -> DispatchDecision:
-    """Choose serial or parallel execution for one fan-out opportunity.
-
-    The decision combines what is free to know (requested workers, job
-    count, detected cores) with what calibration measured (pool dispatch
-    overhead vs. the caller's estimated serial cost). ``adaptive=False``
-    forces the legacy behaviour — parallel whenever workers and jobs allow
-    — which tests use to pin the pool machinery on any host; ``None``
-    defers to :func:`adaptive_dispatch_enabled`.
-    """
-    workers = max(1, requested_workers)
-    if workers <= 1:
+    cores = detected_cores()
+    if requested_workers <= 1:
         decision = DispatchDecision(False, 1, "a single worker was requested")
-    elif jobs is not None and jobs <= 1:
-        decision = DispatchDecision(False, 1, "a single work item cannot fan out")
-    elif adaptive is False or (adaptive is None and not adaptive_dispatch_enabled()):
-        decision = DispatchDecision(True, workers, "adaptive dispatch disabled")
+    elif cores < 2:
+        decision = DispatchDecision(
+            False, 1, f"{cores} CPU core(s): threads cannot overlap"
+        )
     else:
-        cores = detected_cores()
-        if cores < 2:
-            decision = DispatchDecision(
-                False, 1, f"{cores} CPU core(s): threads cannot overlap"
-            )
-        elif (
-            estimated_serial_s is not None
-            and estimated_serial_s
-            < PARALLEL_WORK_MARGIN * (jobs or workers) * dispatch_overhead_s()
-        ):
-            decision = DispatchDecision(
-                False, 1, "estimated work is smaller than pool dispatch overhead"
-            )
-        else:
-            decision = DispatchDecision(
-                True, min(workers, cores), f"{cores} CPU core(s) available"
-            )
-    if record:
-        with _dispatch_lock:
-            log = _dispatch_log.setdefault(kind, {"serial": 0, "parallel": 0})
-            log["parallel" if decision.parallel else "serial"] += 1
-            log["last"] = {
-                "parallel": decision.parallel,
-                "workers": decision.workers,
-                "reason": decision.reason,
-            }
+        decision = DispatchDecision(
+            True, min(requested_workers, cores), f"{cores} CPU core(s) available"
+        )
+    with _dispatch_lock:
+        log = _dispatch_log.setdefault(kind, {"serial": 0, "parallel": 0})
+        log["parallel" if decision.parallel else "serial"] += 1
+        log["last"] = {
+            "parallel": decision.parallel,
+            "workers": decision.workers,
+            "reason": decision.reason,
+        }
     return decision
 
 
@@ -332,45 +222,7 @@ def dispatch_stats() -> dict[str, dict]:
         return {kind: dict(log) for kind, log in _dispatch_log.items()}
 
 
-def last_dispatch(kind: str) -> dict | None:
-    """The most recent decision recorded for ``kind``, if any."""
-    with _dispatch_lock:
-        log = _dispatch_log.get(kind)
-        return dict(log["last"]) if log and "last" in log else None
-
-
 def reset_dispatch_stats() -> None:
     """Zero the dispatch log (test/benchmark isolation)."""
     with _dispatch_lock:
         _dispatch_log.clear()
-
-
-def dispatch_summary() -> str:
-    """One human-readable line of dispatch state (EXPLAIN annotation)."""
-    parts = [
-        f"adaptive {'on' if adaptive_dispatch_enabled() else 'off'}",
-        f"{detected_cores()} core(s)",
-    ]
-    for kind, log in sorted(dispatch_stats().items()):
-        last = log.get("last")
-        if last is not None:
-            mode = "parallel" if last["parallel"] else "serial"
-            parts.append(f"{kind}: {mode} ({last['reason']})")
-    return "; ".join(parts)
-
-
-def map_on_build_pool(func, items, *, max_workers: int | None = None) -> list:
-    """Run a side-effect-free function over items on the build thread pool.
-
-    The incremental merge uses this for its untrusted preparation — blob
-    collection and plaintext dictionary rebuilds across dirty partitions —
-    while the enclave rebuild ecalls stay strictly serial. Falls back to a
-    plain loop when the fan-out cannot help (one item or one worker), so
-    results are always exactly ``[func(item) for item in items]``.
-    """
-    items = list(items)
-    workers = max_workers if max_workers is not None else configured_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    pool = shared_pool(BUILD_THREAD_POOL, workers)
-    return list(pool.map(func, items))

@@ -10,7 +10,6 @@ rotation offset — tests assert exactly that.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -55,21 +54,13 @@ class EncDBDBServer:
         pae: Pae | None = None,
         rng: HmacDrbg | None = None,
         fastpath: FastPathConfig | None = None,
-        scan_workers: int | None = None,
     ) -> None:
         rng = rng if rng is not None else HmacDrbg(b"encdbdb-server")
         self.attestation = attestation if attestation is not None else AttestationService()
         self.catalog = Catalog()
         # Production deployments run the query fast path (PR 1) by default;
         # pass FastPathConfig.disabled() for the paper-faithful baseline.
-        # ``scan_workers`` overrides the worker fan-out of the chunked
-        # attribute-vector scans (and, through the same knob, the parallel
-        # merge preparation) without spelling out a whole FastPathConfig.
         self.fastpath = fastpath if fastpath is not None else FastPathConfig()
-        if scan_workers is not None:
-            self.fastpath = replace(
-                self.fastpath, scan_max_workers=max(1, int(scan_workers))
-            )
         self._enclave = EncDBDBEnclave(
             attestation=self.attestation,
             pae=pae if pae is not None else default_pae(rng=rng.fork("enclave-pae")),

@@ -15,10 +15,9 @@ every query. This module provides the two knobs the fast path is built on:
   state under a strict memory budget) — this is that lever.
 - :class:`FastPathConfig`, the single configuration object that selects
   between the fast path (entry cache, derived-key cache, batched ecalls,
-  vectorized kernels, chunked parallel attribute-vector scans, scan-mask
-  reuse — all of it) and the unoptimized paper-faithful path behind
-  :meth:`FastPathConfig.disabled`, which keeps the Figure 8 numbers
-  reproducible.
+  vectorized kernels, scan-mask reuse — all of it) and the unoptimized
+  paper-faithful path behind :meth:`FastPathConfig.disabled`, which keeps
+  the Figure 8 numbers reproducible.
 
 Security argument (see DESIGN.md "Query fast path"): cached plaintext lives
 only in enclave-protected memory, keyed by the ciphertext blob itself, so a
@@ -31,11 +30,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Hashable
 
 from repro.exceptions import EnclaveMemoryError
-from repro.runtime import configured_workers
 from repro.sgx.costs import CostModel
 from repro.sgx.memory import EpcModel
 
@@ -218,22 +216,17 @@ class FastPathConfig:
     ``FastPathConfig()`` is the *fast* profile every deployment runs:
     decrypted-entry and derived-key caches inside the enclave, one batched
     ``dict_search_batch`` ecall per query, packed-ordinal vectorized search
-    kernels, chunked parallel attribute-vector scans and per-query scan-mask
-    reuse. :meth:`disabled` is the *paper* profile: the one-ecall-per-filter,
-    decrypt-every-probe, constant-enclave-memory behaviour the Figure 8
-    benchmarks reproduce. The layers are not individually switchable — no
-    deployment ever ran a mixture, and each independent switch doubled the
-    configurations to keep correct. What remains tunable is sizing.
+    kernels and per-query scan-mask reuse. :meth:`disabled` is the *paper*
+    profile: the one-ecall-per-filter, decrypt-every-probe,
+    constant-enclave-memory behaviour the Figure 8 benchmarks reproduce.
+    The layers are not individually switchable — no deployment ever ran a
+    mixture, and each independent switch doubled the configurations to keep
+    correct. What remains tunable is sizing.
     """
 
     enabled: bool = True
     #: EPC budget of the entry cache (charged against the 96 MiB model).
     dictionary_cache_bytes: int = 8 * 1024 * 1024
-    #: Worker threads for chunked scans (and the parallel merge
-    #: preparation). Defaults to the process-wide knob
-    #: (``ENCDBDB_SCAN_WORKERS``), which the build pipeline shares; with one
-    #: worker, scans and merges stay serial.
-    scan_max_workers: int = field(default_factory=configured_workers)
 
     @classmethod
     def disabled(cls) -> "FastPathConfig":

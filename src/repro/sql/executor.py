@@ -21,7 +21,6 @@ from repro.columnstore.dictionary import DictionaryEncodedColumn
 from repro.columnstore.partition import DEFAULT_PARTITION_ROWS, PartitionMap
 from repro.columnstore.table import Table
 from repro.exceptions import QueryError
-from repro.runtime import map_on_build_pool
 from repro.sgx.cache import FastPathConfig
 from repro.sgx.enclave import EnclaveHost
 from repro.sql.planner import (
@@ -143,13 +142,6 @@ class Executor:
         self.fastpath = fastpath if fastpath is not None else FastPathConfig.disabled()
         #: Layout-level counters of the most recent :meth:`merge`.
         self.last_merge_stats: MergeStats | None = None
-
-    def _scan_workers(self) -> int | None:
-        """Worker fan-out of the chunked attribute-vector scans (chunks of
-        ``attrvect.DEFAULT_SCAN_CHUNK_ROWS``); ``None`` keeps them serial."""
-        if self.fastpath.enabled and self.fastpath.scan_max_workers > 1:
-            return self.fastpath.scan_max_workers
-        return None
 
     # ------------------------------------------------------------------
     # Filtering
@@ -288,20 +280,15 @@ class Executor:
             )
         if self._host is None:
             raise QueryError("no enclave available for encrypted columns")
-        max_workers = self._scan_workers()
         if prepared is not None and id(plan) in prepared:
             matches = column.record_ids_from_results(
                 prepared[id(plan)],
                 cost_model=self._host.cost_model,
-                max_workers=max_workers,
                 scan_cache=scan_cache,
             )
         else:
             matches = column.search_tau(
-                plan.tau,
-                self._host,
-                max_workers=max_workers,
-                scan_cache=scan_cache,
+                plan.tau, self._host, scan_cache=scan_cache
             )
         if plan.negated:
             return self._complement(table, matches)
@@ -635,11 +622,9 @@ class Executor:
         is therefore proportional to the dirty rows, not the table size.
 
         The *untrusted* per-partition preparation — collecting surviving
-        ciphertext blobs, rebuilding plaintext dictionaries — fans out over
-        the shared build pool (the scan-worker knob); the per-partition
-        ``rebuild_for_merge`` ecalls stay strictly serial, in partition
-        order, so the enclave's cost accounting and randomness consumption
-        are identical to a fully serial merge.
+        ciphertext blobs, rebuilding plaintext dictionaries — and the
+        per-partition ``rebuild_for_merge`` ecalls run in partition order
+        in the calling thread.
         """
         table = self._catalog.table(plan.table)
         valid = np.asarray(table.validity, dtype=bool)
@@ -708,14 +693,9 @@ class Executor:
             tail_chunks = []
         stats.tail_partitions_added = len(tail_chunks)
 
-        # Same knob as the parallel scans; the disabled (paper-faithful)
-        # configuration keeps the whole merge serial.
-        merge_workers = self._scan_workers() or 1
         for name, column in zip(table.column_names, columns):
             if isinstance(column, PlainStoredColumn):
-                new_parts: list[DictionaryEncodedColumn | None] = []
-                rebuild_slots: list[int] = []
-                rebuild_values: list[list] = []
+                new_parts: list[DictionaryEncodedColumn] = []
                 for action, index in decisions:
                     if action == "keep":
                         new_parts.append(column.partitions[index])
@@ -732,48 +712,21 @@ class Executor:
                             values.extend(
                                 column.delta_values[int(i)] for i in delta_indices
                             )
-                        new_parts.append(None)
-                        rebuild_slots.append(len(new_parts) - 1)
-                        rebuild_values.append(values)
+                        new_parts.append(
+                            DictionaryEncodedColumn.from_values(values)
+                        )
                 for chunk in tail_chunks:
-                    new_parts.append(None)
-                    rebuild_slots.append(len(new_parts) - 1)
-                    rebuild_values.append(
-                        [column.delta_values[int(i)] for i in chunk]
+                    new_parts.append(
+                        DictionaryEncodedColumn.from_values(
+                            [column.delta_values[int(i)] for i in chunk]
+                        )
                     )
-                for slot, part in zip(
-                    rebuild_slots,
-                    map_on_build_pool(
-                        DictionaryEncodedColumn.from_values,
-                        rebuild_values,
-                        max_workers=merge_workers,
-                    ),
-                ):
-                    new_parts[slot] = part
                 column.partitions = new_parts
                 column.delta_values = []
                 column.partition_rows = partition_rows
             else:
                 if self._host is None:
                     raise QueryError("no enclave available for merge")
-                # Untrusted preparation in parallel: surviving blobs of
-                # every dirty partition. Reading ciphertext frames needs no
-                # enclave and no lock.
-                rebuild_indices = [
-                    index for action, index in decisions if action == "rebuild"
-                ]
-                prepared_blobs = dict(
-                    zip(
-                        rebuild_indices,
-                        map_on_build_pool(
-                            lambda idx, column=column: column.partition_blobs(
-                                idx, keep_masks[idx]
-                            ),
-                            rebuild_indices,
-                            max_workers=merge_workers,
-                        ),
-                    )
-                )
                 new_builds = []
                 new_ids = []
                 for action, index in decisions:
@@ -781,7 +734,8 @@ class Executor:
                         new_builds.append(column.partition_builds[index])
                         new_ids.append(column.partition_ids[index])
                     elif action == "rebuild":
-                        blobs = prepared_blobs[index]
+                        # Surviving ciphertext frames: untrusted, no ecall.
+                        blobs = column.partition_blobs(index, keep_masks[index])
                         if index == absorb_index:
                             blobs.extend(
                                 column.delta_blobs[int(i)] for i in delta_indices

@@ -339,24 +339,3 @@ def migration_lines(statuses) -> list[str]:
             serving = ",".join(status.partition_versions)
             lines.append(f"  partitions serve: {serving}")
     return lines
-
-
-def render_explain(plan, schema_catalog=None, data_catalog=None) -> str:
-    """EXPLAIN-style rendering of one query plan.
-
-    Combines the planner's one-line description with the per-partition
-    fan-out of every filtered column (when a data catalog with live column
-    stores is available — i.e. in-process or server-side) and the runtime's
-    current serial/parallel dispatch state. The dispatch line reports only
-    host facts (core count, past decisions) — nothing query-secret.
-    """
-    from repro.runtime import dispatch_summary
-    from repro.sql.planner import describe_plan
-
-    description = describe_plan(plan, schema_catalog)
-    lines = partition_fanout_lines(plan, data_catalog)
-    if data_catalog is not None:
-        lines.append(f"dispatch: {dispatch_summary()}")
-    if lines:
-        description = description + "\n" + "\n".join(lines)
-    return description

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.cluster import ClusterSystem
 from repro.exceptions import ClusterError
 from repro.net import RetryPolicy
+from repro.runtime import CLUSTER_POOL, active_pool
 
 from tests.cluster.conftest import live_cluster
 
@@ -106,3 +108,40 @@ def test_writes_reach_surviving_replica():
             cluster.execute("INSERT INTO t VALUES (999, 8)")
             got = sorted(cluster.query(SQL).column("id"))
             assert got == _expected() + [999]
+
+
+def test_stopping_a_replica_leaves_the_scatter_pool_alone():
+    """A stopping server owns no worker pool: the router's scatter pool is
+    the same live object before and after, and reads looping on another
+    thread across the stop never see a shut-down executor."""
+    with live_cluster(2, replicas=1) as handles:
+        with ClusterSystem.connect(
+            handles.shard_map, seed=5, retry=IMPATIENT
+        ) as cluster:
+            _load(cluster)
+            expected = _expected()
+            assert sorted(cluster.query(SQL).column("id")) == expected
+            pool = active_pool(CLUSTER_POOL)
+            assert pool is not None
+
+            stopped = threading.Event()
+            errors: list[BaseException] = []
+
+            def reader() -> None:
+                try:
+                    reads_after_stop = 0
+                    while reads_after_stop < 3:
+                        if stopped.is_set():
+                            reads_after_stop += 1
+                        assert sorted(cluster.query(SQL).column("id")) == expected
+                except BaseException as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=reader)
+            thread.start()
+            handles.stop(1, replica=1)
+            stopped.set()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert errors == []
+            assert active_pool(CLUSTER_POOL) is pool

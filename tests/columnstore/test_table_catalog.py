@@ -67,6 +67,10 @@ def test_validity_lifecycle():
     assert table.delete_rows(np.array([1])) == 0
     assert table.filter_valid(np.array([0, 1, 2])).tolist() == [0, 2]
     assert table.all_valid_rids().tolist() == [0, 2]
+    # A RecordID past the vector belongs to an insert that has reached the
+    # column stores but is not registered yet: not visible, not an error.
+    assert table.filter_valid(np.array([2, 3])).tolist() == [2]
+    assert table.filter_valid(np.array([], dtype=np.int64)).tolist() == []
 
 
 def test_delete_rejects_bad_rids():

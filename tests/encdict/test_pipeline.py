@@ -1,11 +1,11 @@
 """The parallel streaming build pipeline (PR 4).
 
 The load-bearing property is bit-for-bit determinism: for every ED kind,
-the pipeline — on any executor, with any worker count — must produce
-exactly the artifacts of the serial ``encdb_build_partitioned`` reference:
-same ciphertext dictionaries, same rotation offsets, same attribute
-vectors, same ``BuildStats``. Everything else (streaming order,
-backpressure, counter reconciliation) is bookkeeping around that.
+the pipeline — inline or on the thread pool, with any worker count — must
+produce exactly the artifacts of the serial ``encdb_build_partitioned``
+reference: same ciphertext dictionaries, same rotation offsets, same
+attribute vectors, same ``BuildStats``. Everything else (streaming order,
+backpressure) is bookkeeping around that.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.runtime as runtime
 from repro.columnstore.types import ColumnSpec, parse_type
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.pae import default_pae
@@ -22,11 +23,10 @@ from repro.encdict.pipeline import (
     BuildPipeline,
     ColumnPlan,
     build_encrypt_operations,
-    map_on_build_pool,
     shutdown_build_pools,
 )
 from repro.exceptions import CatalogError
-from repro.runtime import configured_workers
+from repro.runtime import BUILD_THREAD_POOL, configured_workers, pool_workers
 
 INT = parse_type("INTEGER")
 KEY = b"\x07" * 16
@@ -68,13 +68,24 @@ def _assert_identical(expected, actual):
         assert got.stats == want.stats
 
 
+@pytest.fixture
+def multicore(monkeypatch):
+    """Pin the host to 4 cores so ``max_workers > 1`` really uses the pool."""
+    monkeypatch.setattr(runtime, "detected_cores", lambda: 4)
+
+
 @pytest.mark.parametrize("kind_name", [kind.name for kind in ALL_KINDS])
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_pipeline_matches_serial_builder_for_every_kind(kind_name, executor):
+@pytest.mark.parametrize(
+    "max_workers", [pytest.param(1, id="serial"), pytest.param(3, id="thread")]
+)
+def test_pipeline_matches_serial_builder_for_every_kind(
+    kind_name, max_workers, multicore
+):
     kind = kind_by_name(kind_name)
     reference, reference_encrypts = _reference(kind)
     pae = default_pae(rng=HmacDrbg(b"pipe-pae"))
-    pipeline = BuildPipeline(pae=pae, max_workers=3, executor=executor)
+    pipeline = BuildPipeline(pae=pae, max_workers=max_workers)
+    assert pipeline.pool_workers == (0 if max_workers == 1 else 3)
     encrypted, plain = pipeline.build_columns(
         "t", {"c": _plan(kind)}, partition_rows=PARTITION_ROWS
     )
@@ -82,21 +93,6 @@ def test_pipeline_matches_serial_builder_for_every_kind(kind_name, executor):
     _assert_identical(reference, encrypted["c"])
     # Batched encryption changes no counts: entry + offset encryptions of a
     # parallel build equal the serial builder's, exactly.
-    assert pae.encrypt_count == reference_encrypts
-
-
-@pytest.mark.parametrize("kind_name", ["ED1", "ED5", "ED9"])
-def test_process_pool_matches_serial_builder(kind_name):
-    kind = kind_by_name(kind_name)
-    reference, reference_encrypts = _reference(kind)
-    pae = default_pae(rng=HmacDrbg(b"proc-pae"))
-    pipeline = BuildPipeline(pae=pae, max_workers=2, executor="process")
-    encrypted, _ = pipeline.build_columns(
-        "t", {"c": _plan(kind)}, partition_rows=PARTITION_ROWS
-    )
-    _assert_identical(reference, encrypted["c"])
-    # Worker processes seal on their own backends; the pipeline folds the
-    # exact operation counts back into the owner's backend.
     assert pae.encrypt_count == reference_encrypts
 
 
@@ -177,38 +173,34 @@ def test_column_plan_requires_key_and_rng_for_encrypted_columns():
         ColumnPlan(spec, [1, 2, 3])
 
 
-def test_pipeline_rejects_unknown_executor(pae):
-    with pytest.raises(CatalogError, match="unknown build executor"):
-        BuildPipeline(pae=pae, executor="gpu")
+def test_single_worker_falls_back_to_serial(pae, multicore):
+    assert BuildPipeline(pae=pae, max_workers=1).pool_workers == 0
 
 
-def test_single_worker_falls_back_to_serial(pae):
-    assert BuildPipeline(pae=pae, max_workers=1, executor="thread").executor == "serial"
+def test_single_core_host_builds_inline(pae, monkeypatch):
+    monkeypatch.setattr(runtime, "detected_cores", lambda: 1)
+    pipeline = BuildPipeline(pae=pae, max_workers=3)
+    assert pipeline.pool_workers == 0
+    shutdown_build_pools()
+    encrypted, _ = pipeline.build_columns(
+        "t", {"c": _plan(kind_by_name("ED1"))}, partition_rows=PARTITION_ROWS
+    )
+    _assert_identical(_reference(kind_by_name("ED1"))[0], encrypted["c"])
+    assert pool_workers(BUILD_THREAD_POOL) == 0  # no pool was ever created
 
 
 def test_worker_knob_env_override(monkeypatch, pae):
     from repro.runtime import DEFAULT_WORKERS, detected_cores
 
-    monkeypatch.setenv("ENCDBDB_SCAN_WORKERS", "7")
+    monkeypatch.setenv("ENCDBDB_BUILD_WORKERS", "7")
     assert configured_workers() == 7
     assert BuildPipeline(pae=pae).max_workers == 7
-    monkeypatch.setenv("ENCDBDB_SCAN_WORKERS", "not-a-number")
+    monkeypatch.setenv("ENCDBDB_BUILD_WORKERS", "not-a-number")
     # Malformed values are ignored; the built-in default is additionally
     # clamped to the detected core count (never a 4-worker pool on 1 core).
     assert configured_workers() == max(1, min(DEFAULT_WORKERS, detected_cores()))
-    monkeypatch.setenv("ENCDBDB_SCAN_WORKERS", "-3")
+    monkeypatch.setenv("ENCDBDB_BUILD_WORKERS", "-3")
     assert configured_workers() == 1  # clamped to a working pool size
-
-
-def test_map_on_build_pool_matches_plain_loop():
-    items = list(range(23))
-    assert map_on_build_pool(lambda x: x * x, items, max_workers=4) == [
-        x * x for x in items
-    ]
-    assert map_on_build_pool(lambda x: x + 1, items, max_workers=1) == [
-        x + 1 for x in items
-    ]
-    assert map_on_build_pool(lambda x: x, []) == []
 
 
 def teardown_module() -> None:

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.columnstore.types import IntegerType, VarcharType
-from repro.encdict.attrvect import attr_vect_search
-from repro.encdict.options import ALL_KINDS, ED2, ED5, ED8
+from repro.encdict.attrvect import attr_vect_search, attr_vect_search_many
+from repro.encdict.options import ALL_KINDS, ED2, ED5
 from repro.encdict.search import (
     DUMMY_RANGE,
-    DictionaryAccessor,
     OrdinalRange,
     SearchResult,
     plain_search,
@@ -314,22 +313,30 @@ def test_attr_vect_search_counts_comparisons():
     assert cost.comparisons == 8
 
 
-def test_attr_vect_search_chunked_matches_single_shot():
+def test_search_many_matches_per_partition_scans():
+    rng = np.random.default_rng(7)
+    jobs = []
+    for length in (0, 17, 256, 999):
+        av = rng.integers(0, 50, size=length).astype(np.int64)
+        jobs.append((av, SearchResult(ranges=((5, 9), DUMMY_RANGE))))
+    jobs.append((np.arange(100, dtype=np.int64), SearchResult(vids=(3, 7))))
+
+    results = attr_vect_search_many(jobs)
+    assert len(results) == len(jobs)
+    for (av, search), rids in zip(jobs, results):
+        assert rids.tolist() == attr_vect_search(av, search).tolist()
+
+
+def test_search_many_cost_equals_concatenated_scan():
+    """Partitioning a column must not change its comparison count."""
     from repro.sgx.costs import CostModel
 
-    rng = np.random.default_rng(7)
-    av = rng.integers(0, 50, size=10_000).astype(np.int64)
-    for result in (
-        SearchResult(ranges=((5, 9), DUMMY_RANGE)),
-        SearchResult(ranges=((0, 3), (40, 49))),
-        SearchResult(vids=(1, 2, 3, 30)),
-        SearchResult(ranges=(DUMMY_RANGE, DUMMY_RANGE)),
-    ):
-        single_cost = CostModel()
-        chunked_cost = CostModel()
-        single = attr_vect_search(av, result, cost_model=single_cost)
-        chunked = attr_vect_search(
-            av, result, cost_model=chunked_cost, chunk_rows=512, max_workers=4
-        )
-        assert chunked.tolist() == single.tolist()
-        assert chunked_cost.comparisons == single_cost.comparisons
+    av = np.arange(1000, dtype=np.int64)
+    search = SearchResult(ranges=((100, 200), DUMMY_RANGE))
+
+    whole = CostModel()
+    attr_vect_search(av, search, cost_model=whole)
+
+    split = CostModel()
+    attr_vect_search_many([(av[:400], search), (av[400:], search)], cost_model=split)
+    assert split.comparisons == whole.comparisons

@@ -31,6 +31,7 @@ def test_rotation_under_concurrent_reads_and_inserts():
     base = {(i,) for i, v in enumerate(VALUES) if LOW <= v <= HIGH}
 
     inserted: list[int] = []  # tags of extra matching rows, append-only
+    attempted: set = set()  # tags announced just before their INSERT runs
     insert_lock = threading.Lock()
     stop = threading.Event()
     errors: list[BaseException] = []
@@ -52,8 +53,11 @@ def test_rotation_under_concurrent_reads_and_inserts():
                         ).rows,
                     )
                 }
+                # Upper bound: a row is visible from the moment its INSERT
+                # executes, which may be before the writer records it in
+                # ``inserted`` — so phantoms are judged against ``attempted``.
                 with insert_lock:
-                    upper = set(inserted)
+                    upper = set(attempted)
                 extra = got - base
                 assert base <= got, f"lost main rows: {sorted(base - got)[:5]}"
                 assert len(extra) >= lower, "lost delta rows"
@@ -66,6 +70,8 @@ def test_rotation_under_concurrent_reads_and_inserts():
             tag = 10_000 + threading.get_ident() % 1000 * 1000
             while not stop.is_set():
                 tag += 1
+                with insert_lock:
+                    attempted.add((tag,))
                 system.execute(f"INSERT INTO t VALUES ({LOW}, {tag})")
                 with insert_lock:
                     inserted.append((tag,))

@@ -110,18 +110,15 @@ def test_nonpositive_budget_rejected():
 
 
 def test_fastpath_config_master_flag_gates_every_layer():
-    """Two profiles, three settable fields: ``enabled`` alone decides every
-    layer (entry cache, key cache, batching, kernels, parallel scans, mask
-    reuse); the other two fields only size the fast profile."""
+    """Two profiles, two settable fields: ``enabled`` alone decides every
+    layer (entry cache, key cache, batching, kernels, mask reuse); the other
+    field only sizes the fast profile's entry cache."""
     assert [f.name for f in dataclasses.fields(FastPathConfig)] == [
         "enabled",
         "dictionary_cache_bytes",
-        "scan_max_workers",
     ]
-    # The default worker count is host-clamped (1 on a single-core runner),
-    # so pin an explicit multi-worker config when asserting the gate.
-    fast = FastPathConfig(dictionary_cache_bytes=4096, scan_max_workers=2)
-    paper = dataclasses.replace(FastPathConfig.disabled(), scan_max_workers=2)
+    fast = FastPathConfig(dictionary_cache_bytes=4096)
+    paper = FastPathConfig.disabled()
     assert fast.enabled and not paper.enabled
     assert FastPathConfig().enabled
 
@@ -132,12 +129,9 @@ def test_fastpath_config_master_flag_gates_every_layer():
     assert paper_enclave.entry_cache is None
     assert not paper_enclave._searcher._vectorized
 
-    def scan_workers(config):
-        return Executor(Catalog(), None, fastpath=config)._scan_workers()
-
-    assert scan_workers(fast) == 2
-    assert scan_workers(paper) is None
-    assert scan_workers(FastPathConfig(scan_max_workers=1)) is None
+    # A bare Executor runs the paper profile; a server hands its own down.
+    assert not Executor(Catalog(), None).fastpath.enabled
+    assert Executor(Catalog(), None, fastpath=fast).fastpath is fast
 
 
 def test_invalidate_prefix_evicts_one_partition():

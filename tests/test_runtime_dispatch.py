@@ -1,4 +1,4 @@
-"""Adaptive serial/parallel dispatch and the host-clamped worker default (PR 6)."""
+"""The build fan-out rule and the host-clamped worker default."""
 
 from __future__ import annotations
 
@@ -8,19 +8,13 @@ import pytest
 
 from repro import runtime
 from repro.runtime import (
-    ADAPTIVE_ENV,
     DEFAULT_WORKERS,
     WORKERS_ENV,
     DispatchDecision,
-    adaptive_dispatch_enabled,
     configured_workers,
     detected_cores,
     dispatch_decision,
     dispatch_stats,
-    dispatch_summary,
-    kernel_cost,
-    last_dispatch,
-    note_kernel_cost,
     reset_dispatch_stats,
 )
 
@@ -32,93 +26,41 @@ def _clean_dispatch_state():
     reset_dispatch_stats()
 
 
-def test_single_worker_and_single_job_go_serial():
-    one_worker = dispatch_decision("t", requested_workers=1, record=False)
-    assert one_worker == DispatchDecision(False, 1, "a single worker was requested")
-    one_job = dispatch_decision("t", requested_workers=4, jobs=1, record=False)
-    assert not one_job.parallel and "single work item" in one_job.reason
-
-
-def test_adaptive_false_forces_legacy_parallel(monkeypatch):
-    monkeypatch.setattr(runtime, "detected_cores", lambda: 1)
-    decision = dispatch_decision(
-        "t", requested_workers=4, jobs=8, adaptive=False, record=False
-    )
-    assert decision.parallel and decision.workers == 4
-    assert decision.reason == "adaptive dispatch disabled"
-
-
-def test_env_kill_switch_disables_adaptivity(monkeypatch):
-    monkeypatch.setenv(ADAPTIVE_ENV, "0")
-    assert not adaptive_dispatch_enabled()
-    monkeypatch.setattr(runtime, "detected_cores", lambda: 1)
-    decision = dispatch_decision("t", requested_workers=4, jobs=8, record=False)
-    assert decision.parallel  # legacy behaviour, even on one core
-    monkeypatch.setenv(ADAPTIVE_ENV, "1")
-    assert adaptive_dispatch_enabled()
+def test_single_worker_goes_serial(monkeypatch):
+    monkeypatch.setattr(runtime, "detected_cores", lambda: 8)
+    decision = dispatch_decision("t", requested_workers=1)
+    assert decision == DispatchDecision(False, 1, "a single worker was requested")
 
 
 def test_single_core_host_goes_serial(monkeypatch):
     monkeypatch.setattr(runtime, "detected_cores", lambda: 1)
-    decision = dispatch_decision("t", requested_workers=4, jobs=8, record=False)
+    decision = dispatch_decision("t", requested_workers=4)
     assert not decision.parallel and "threads cannot overlap" in decision.reason
-
-
-def test_tiny_work_goes_serial_and_large_work_fans_out(monkeypatch):
-    monkeypatch.setattr(runtime, "detected_cores", lambda: 8)
-    monkeypatch.setattr(runtime, "dispatch_overhead_s", lambda: 1e-5)
-    tiny = dispatch_decision(
-        "t", requested_workers=4, jobs=4, estimated_serial_s=1e-6, record=False
-    )
-    assert not tiny.parallel and "dispatch overhead" in tiny.reason
-    large = dispatch_decision(
-        "t", requested_workers=4, jobs=4, estimated_serial_s=1.0, record=False
-    )
-    assert large.parallel and large.workers == 4
-    unmeasured = dispatch_decision("t", requested_workers=4, jobs=4, record=False)
-    assert unmeasured.parallel  # no estimate: give the pool the benefit
 
 
 def test_parallel_workers_clamped_to_cores(monkeypatch):
     monkeypatch.setattr(runtime, "detected_cores", lambda: 2)
-    decision = dispatch_decision("t", requested_workers=16, jobs=32, record=False)
+    decision = dispatch_decision("t", requested_workers=16)
     assert decision.parallel and decision.workers == 2
 
 
-def test_kernel_cost_ewma():
-    assert kernel_cost("ewma-test") is None
-    note_kernel_cost("ewma-test", 1.0)
-    assert kernel_cost("ewma-test") == 1.0
-    note_kernel_cost("ewma-test", 3.0)
-    assert kernel_cost("ewma-test") == pytest.approx(2.0)  # 0.5/0.5 blend
-    note_kernel_cost("ewma-test", -1.0)  # non-positive samples are ignored
-    assert kernel_cost("ewma-test") == pytest.approx(2.0)
-
-
-def test_dispatch_log_counts_and_summary(monkeypatch):
-    monkeypatch.setattr(runtime, "detected_cores", lambda: 1)
-    dispatch_decision("scan-x", requested_workers=4, jobs=8)
-    dispatch_decision("scan-x", requested_workers=4, jobs=8, adaptive=False)
-    stats = dispatch_stats()
-    assert stats["scan-x"]["serial"] == 1
-    assert stats["scan-x"]["parallel"] == 1
-    last = last_dispatch("scan-x")
-    assert last == {
-        "parallel": True,
-        "workers": 4,
-        "reason": "adaptive dispatch disabled",
+def test_dispatch_log_counts(monkeypatch):
+    monkeypatch.setattr(runtime, "detected_cores", lambda: 4)
+    dispatch_decision("build-x", requested_workers=1)
+    dispatch_decision("build-x", requested_workers=3)
+    assert dispatch_stats() == {
+        "build-x": {
+            "serial": 1,
+            "parallel": 1,
+            "last": {
+                "parallel": True,
+                "workers": 3,
+                "reason": "4 CPU core(s) available",
+            },
+        }
     }
-    summary = dispatch_summary()
-    assert "adaptive on" in summary and "scan-x: parallel" in summary
     reset_dispatch_stats()
     assert dispatch_stats() == {}
-    assert last_dispatch("scan-x") is None
-
-
-def test_dispatch_overhead_is_calibrated_once_and_positive():
-    first = runtime.dispatch_overhead_s()
-    assert first > 0
-    assert runtime.dispatch_overhead_s() == first  # cached
 
 
 def test_default_workers_clamped_to_detected_cores(monkeypatch):
@@ -127,8 +69,7 @@ def test_default_workers_clamped_to_detected_cores(monkeypatch):
     assert configured_workers() == min(DEFAULT_WORKERS, 2)
     monkeypatch.setattr(runtime, "detected_cores", lambda: 64)
     assert configured_workers() == DEFAULT_WORKERS  # never above the default
-    # Explicit intent — environment or a passed default — is not clamped.
-    assert configured_workers(default=9) == 9
+    # Explicit intent — the environment — is not clamped.
     monkeypatch.setenv(WORKERS_ENV, "7")
     monkeypatch.setattr(runtime, "detected_cores", lambda: 1)
     assert configured_workers() == 7

@@ -6,9 +6,8 @@ import threading
 
 from repro.runtime import (
     BUILD_THREAD_POOL,
-    SCAN_POOL,
+    CLUSTER_POOL,
     active_pool,
-    map_on_build_pool,
     pool_workers,
     shared_pool,
     shutdown_pool,
@@ -25,31 +24,31 @@ def teardown_function(_):
 
 
 def test_named_pools_are_independent():
-    scan = shared_pool(SCAN_POOL, 2)
+    scatter = shared_pool(CLUSTER_POOL, 2)
     build = shared_pool(BUILD_THREAD_POOL, 3)
-    assert scan is not build
-    assert pool_workers(SCAN_POOL) == 2
+    assert scatter is not build
+    assert pool_workers(CLUSTER_POOL) == 2
     assert pool_workers(BUILD_THREAD_POOL) == 3
-    shutdown_pool(SCAN_POOL)
-    assert active_pool(SCAN_POOL) is None
+    shutdown_pool(CLUSTER_POOL)
+    assert active_pool(CLUSTER_POOL) is None
     assert active_pool(BUILD_THREAD_POOL) is build
 
 
 def test_pool_grows_upward_and_never_shrinks():
-    small = shared_pool(SCAN_POOL, 2)
-    assert shared_pool(SCAN_POOL, 2) is small
-    big = shared_pool(SCAN_POOL, 5)
+    small = shared_pool(CLUSTER_POOL, 2)
+    assert shared_pool(CLUSTER_POOL, 2) is small
+    big = shared_pool(CLUSTER_POOL, 5)
     assert big is not small
-    assert shared_pool(SCAN_POOL, 3) is big  # fewer workers: reuse
-    assert pool_workers(SCAN_POOL) == 5
+    assert shared_pool(CLUSTER_POOL, 3) is big  # fewer workers: reuse
+    assert pool_workers(CLUSTER_POOL) == 5
 
 
 def test_shutdown_is_idempotent():
-    shared_pool(SCAN_POOL, 2)
+    shared_pool(CLUSTER_POOL, 2)
     shutdown_pools()
     shutdown_pools()  # second call is a no-op
-    shutdown_pool(SCAN_POOL)  # and so is a late single-name call
-    assert pool_workers(SCAN_POOL) == 0
+    shutdown_pool(CLUSTER_POOL)  # and so is a late single-name call
+    assert pool_workers(CLUSTER_POOL) == 0
 
 
 def test_concurrent_create_and_shutdown_never_deadlocks_or_leaks():
@@ -63,7 +62,7 @@ def test_concurrent_create_and_shutdown_never_deadlocks_or_leaks():
     def worker(seed: int):
         try:
             for i in range(30):
-                pool = shared_pool(SCAN_POOL, 1 + (seed + i) % 4)
+                pool = shared_pool(CLUSTER_POOL, 1 + (seed + i) % 4)
                 try:
                     pool.submit(int, "7").result()
                 except RuntimeError:
@@ -81,27 +80,13 @@ def test_concurrent_create_and_shutdown_never_deadlocks_or_leaks():
     for t in threads:
         t.join()
     assert errors == []
-    final = shared_pool(SCAN_POOL, 2)
+    final = shared_pool(CLUSTER_POOL, 2)
     assert final.submit(int, "42").result() == 42
 
 
-def test_map_on_build_pool_matches_serial_results():
-    items = list(range(40))
-    assert map_on_build_pool(lambda x: x * x, items, max_workers=4) == [
-        x * x for x in items
-    ]
-    # degenerate fan-outs take the serial path but give identical results
-    assert map_on_build_pool(lambda x: x + 1, [7], max_workers=8) == [8]
-    assert map_on_build_pool(lambda x: x + 1, items, max_workers=1) == [
-        x + 1 for x in items
-    ]
-
-
-def test_pipeline_reexports_still_work():
-    from repro.encdict.pipeline import map_on_build_pool as reexported
+def test_shutdown_build_pools_releases_the_build_pool():
     from repro.encdict.pipeline import shutdown_build_pools
 
-    assert reexported is map_on_build_pool
     shared_pool(BUILD_THREAD_POOL, 2)
     shutdown_build_pools()
     assert active_pool(BUILD_THREAD_POOL) is None
