@@ -1,13 +1,13 @@
 """Query fast path (PR 1): repeated-query and multi-filter workloads.
 
-Measures the three fast-path layers against the paper-faithful baseline
-(``FastPathConfig.disabled()``, the configuration the Figure 8 benchmarks
-use):
+Measures what the enclave's entry-cache budget buys against the paper's
+constant-memory enclave (``FastPathConfig(dictionary_cache_bytes=0)``, the
+configuration the Figure 8 benchmarks use):
 
 - the in-enclave dictionary-entry cache on a repeated range-query workload
   (wall clock and cost-model decryptions, per dictionary kind);
-- ``dict_search_batch`` on a 3-filter conjunctive query (exactly one
-  boundary crossing where the baseline pays three);
+- ``dict_search_batch`` on a 3-filter conjunctive query: exactly one
+  boundary crossing at either budget — batching is not a setting;
 - the EPC-budget invariant of the cache under the same workload.
 
 Alongside the human-readable ``results/fastpath.txt`` table this suite
@@ -44,12 +44,17 @@ KINDS = ("ED1", "ED2", "ED3")
 
 
 def _engines(kind_name: str):
-    """(baseline, fast) engines over the same column and key material."""
+    """(0-budget baseline, default-budget fast) engines over the same
+    column and key material."""
     values = [f"val-{i % DISTINCT:05d}" for i in range(ROWS)]
     value_type = VarcharType(12)
     kind = kind_by_name(kind_name)
     baseline = EncDbdbColumnEngine(
-        values, kind, value_type=value_type, rng=HmacDrbg(b"fastpath-bench")
+        values,
+        kind,
+        value_type=value_type,
+        rng=HmacDrbg(b"fastpath-bench"),
+        fastpath=FastPathConfig(dictionary_cache_bytes=0),
     )
     fast = EncDbdbColumnEngine(
         values,
@@ -101,7 +106,7 @@ def repeated_runs():
 
 @pytest.fixture(scope="module")
 def conjunctive_runs():
-    """3-filter conjunctive query, batched vs one-ecall-per-filter."""
+    """3-filter conjunctive query at a 0 and at the default cache budget."""
     rows = 200
     columns = {
         "a": [i % 50 for i in range(rows)],
@@ -113,7 +118,7 @@ def conjunctive_runs():
     )
     measured = {}
     for label, fastpath in (
-        ("baseline", FastPathConfig.disabled()),
+        ("baseline", FastPathConfig(dictionary_cache_bytes=0)),
         ("fast", FastPathConfig()),
     ):
         system = EncDBDBSystem.create(seed=2026, fastpath=fastpath)
@@ -167,13 +172,13 @@ def test_cache_never_exceeds_epc_budget(shape, repeated_runs):
 
 
 def test_three_filter_conjunction_is_one_batch_ecall(shape, conjunctive_runs):
-    """Batching: 3 encrypted filters -> exactly 1 dict_search_batch ecall."""
-    fast = conjunctive_runs["fast"]
-    assert fast["cost_delta"]["ecalls"] == 1
-    assert fast["batch_ecalls"] == 1
-    baseline = conjunctive_runs["baseline"]
-    assert baseline["cost_delta"]["ecalls"] == 3
-    assert baseline["batch_ecalls"] == 0
+    """Batching: 3 encrypted filters -> exactly 1 dict_search_batch ecall,
+    with or without a cache (what keeps the legs apart is the decryption
+    count of the repeated-query workload above)."""
+    for label in ("baseline", "fast"):
+        run = conjunctive_runs[label]
+        assert run["cost_delta"]["ecalls"] == 1, label
+        assert run["batch_ecalls"] == 1, label
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +215,7 @@ def test_report_fastpath(shape, repeated_runs, conjunctive_runs):
     text = format_table(
         "Query fast path: repeated range queries "
         f"({ROWS} rows, |D|={DISTINCT}, {NUM_QUERIES} queries x {ROUNDS} "
-        "rounds), baseline vs cached/batched/parallel fast path",
+        "rounds), 0-budget baseline vs default entry-cache budget",
         ["kind", "base ms", "fast ms", "speedup", "base decrypts",
          "fast decrypts", "ratio"],
         rows,
@@ -218,9 +223,9 @@ def test_report_fastpath(shape, repeated_runs, conjunctive_runs):
     batch = conjunctive_runs
     text += (
         "\n3-filter conjunctive query: "
-        f"{batch['baseline']['cost_delta']['ecalls']} ecalls baseline vs "
-        f"{batch['fast']['cost_delta']['ecalls']} (one dict_search_batch) "
-        "with the fast path.\n"
+        f"{batch['baseline']['cost_delta']['ecalls']} ecall at budget 0, "
+        f"{batch['fast']['cost_delta']['ecalls']} at the default budget "
+        "(one dict_search_batch either way).\n"
     )
     write_result("fastpath", text)
 

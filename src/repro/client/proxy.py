@@ -104,9 +104,6 @@ class Proxy:
 
         plan = self._planner.plan(parse(sql))
         description = describe_plan(plan, self._schema)
-        batch_note = self._describe_batching(plan)
-        if batch_note:
-            description = f"{description}\n{batch_note}"
         # Partition fan-out is only visible in-process: remote deployments
         # expose a schema mirror without column stores, so the annotation is
         # silently absent there (partition layout never crosses the wire).
@@ -161,48 +158,6 @@ class Proxy:
         if lines:
             description = description + "\n" + "\n".join(lines)
         return description
-
-    def _describe_batching(self, plan) -> str | None:
-        """Annotate plans the server will run through ``dict_search_batch``."""
-        fastpath = getattr(self._server, "fastpath", None)
-        if fastpath is None or not fastpath.enabled:
-            return None
-        filters: list[tuple[str, FilterPlan | None]] = []
-        if isinstance(plan, (SelectPlan, DeletePlan)):
-            filters = [(plan.table, plan.filter)]
-        elif isinstance(plan, JoinSelectPlan):
-            filters = [
-                (plan.left_table, plan.left_filter),
-                (plan.right_table, plan.right_filter),
-            ]
-        searches = sum(
-            self._count_encrypted_leaves(table_name, filter_plan)
-            for table_name, filter_plan in filters
-        )
-        if searches < 2:
-            return None
-        return (
-            f"fast path: {searches} encrypted dictionary searches planned "
-            f"into one dict_search_batch ecall"
-        )
-
-    def _count_encrypted_leaves(
-        self, table_name: str, filter_plan: FilterPlan | None
-    ) -> int:
-        if filter_plan is None:
-            return 0
-        if isinstance(filter_plan, FilterNode):
-            return sum(
-                self._count_encrypted_leaves(table_name, child)
-                for child in filter_plan.children
-            )
-        if isinstance(filter_plan, (RangeFilter, PrefixFilter, EncryptedRangeFilter)):
-            try:
-                spec = self._schema.table(table_name).spec(filter_plan.column)
-            except Exception:
-                return 0
-            return 1 if spec.is_encrypted else 0
-        return 0
 
     def register_schema(self, table_name: str, specs: list[ColumnSpec]) -> None:
         """Mirror an externally created table (bulk-load path)."""

@@ -35,8 +35,10 @@ class EncDBDBSystem:
     ) -> "EncDBDBSystem":
         """Stand up a deployment: generate keys, attest, provision.
 
-        ``fastpath`` (a :class:`~repro.sgx.cache.FastPathConfig`) tunes or
-        disables the query fast path; the server default enables it.
+        ``fastpath`` (a :class:`~repro.sgx.cache.FastPathConfig`) sizes the
+        enclave's decrypted-entry cache; ``None`` is the server default, and
+        ``FastPathConfig(dictionary_cache_bytes=0)`` the paper's
+        constant-memory enclave.
         """
         rng = HmacDrbg(seed if isinstance(seed, (bytes, str)) else int(seed))
         server = EncDBDBServer(rng=rng.fork("server"), fastpath=fastpath)

@@ -91,22 +91,6 @@ class PlainStoredColumn:
         """Append one more main-store partition (streamed bulk load)."""
         self.partitions.append(DictionaryEncodedColumn.from_values(list(values)))
 
-    @property
-    def main(self) -> DictionaryEncodedColumn:
-        """Single-partition view, kept for pre-partitioning callers."""
-        if not self.partitions:
-            return DictionaryEncodedColumn([], np.empty(0, dtype=np.int64))
-        if len(self.partitions) == 1:
-            return self.partitions[0]
-        raise CatalogError(
-            f"column {self.spec.name} has {len(self.partitions)} partitions; "
-            "use .partitions"
-        )
-
-    @main.setter
-    def main(self, column: DictionaryEncodedColumn) -> None:
-        self.partitions = [column] if len(column) else []
-
     def __len__(self) -> int:
         return self.main_length + len(self.delta_values)
 
@@ -342,7 +326,7 @@ class EncryptedStoredColumn:
 
     @property
     def main_build(self) -> BuildResult | None:
-        """Single-partition view, kept for pre-partitioning callers."""
+        """Single-partition view (storage round-trip tests read it)."""
         if not self.partition_builds:
             return None
         if len(self.partition_builds) == 1:
@@ -351,14 +335,6 @@ class EncryptedStoredColumn:
             f"column {self.spec.name} has {len(self.partition_builds)} "
             "partitions; use .partition_builds"
         )
-
-    @main_build.setter
-    def main_build(self, build: BuildResult | None) -> None:
-        if build is None:
-            self.partition_builds = []
-            self.partition_ids = []
-        else:
-            self.set_partitions([build])
 
     def __len__(self) -> int:
         return self.main_length + len(self.delta_blobs)
@@ -392,22 +368,24 @@ class EncryptedStoredColumn:
             self.delta_blobs.append(stored)
             return len(self) - 1
 
-    def _delta_dictionary(self) -> EncryptedDictionary:
-        """The delta store viewed as an ED9 encrypted dictionary."""
-        with self._shadow_lock:
-            # Snapshot blobs and epoch together: a flip replaces both
-            # atomically, and a dictionary pairing old blobs with the new
-            # epoch (or vice versa) would fail authentication in the enclave.
-            blobs = list(self.delta_blobs)
-            epoch = self.key_epoch
+    def _delta_dictionary(
+        self, delta_blobs: list[bytes], key_epoch: int
+    ) -> EncryptedDictionary:
+        """A delta-store snapshot viewed as an ED9 encrypted dictionary.
+
+        ``delta_blobs`` and ``key_epoch`` must come from one
+        :meth:`render_view`: a flip replaces both atomically, and a
+        dictionary pairing old blobs with the new epoch (or vice versa)
+        would fail authentication in the enclave.
+        """
         return EncryptedDictionary.from_blobs(
-            blobs,
+            delta_blobs,
             kind=ED9,
             value_type=self.spec.value_type,
             table_name=self._table_name,
             column_name=self.spec.name,
             partition_id=DELTA_PARTITION_ID,
-            key_epoch=epoch,
+            key_epoch=key_epoch,
         )
 
     def search_requests(
@@ -431,12 +409,15 @@ class EncryptedStoredColumn:
         dictionary search and the scan, and mixing the old dictionary's
         ValueIDs with the new attribute vector would corrupt results.
         """
+        builds, delta_blobs, key_epoch = self.render_view()
         requests: list[tuple[Any, EncryptedDictionary, tuple[bytes, bytes]]] = []
-        for index, build in enumerate(list(self.partition_builds)):
+        for index, build in enumerate(builds):
             if len(build.attribute_vector):
                 requests.append((("main", index, build), build.dictionary, tau))
-        if self.delta_blobs:
-            requests.append((("delta",), self._delta_dictionary(), tau))
+        if delta_blobs:
+            requests.append(
+                (("delta",), self._delta_dictionary(delta_blobs, key_epoch), tau)
+            )
         return requests
 
     def ordinal_segments(
@@ -470,16 +451,9 @@ class EncryptedStoredColumn:
         if delta_blobs:
             in_delta = record_ids[record_ids >= start]
             if len(in_delta):
-                dictionary = EncryptedDictionary.from_blobs(
-                    delta_blobs,
-                    kind=ED9,
-                    value_type=self.spec.value_type,
-                    table_name=self._table_name,
-                    column_name=self.spec.name,
-                    partition_id=DELTA_PARTITION_ID,
-                    key_epoch=key_epoch,
+                segments.append(
+                    (self._delta_dictionary(delta_blobs, key_epoch), in_delta - start)
                 )
-                segments.append((dictionary, in_delta - start))
         return segments
 
     def record_ids_from_results(
@@ -503,16 +477,12 @@ class EncryptedStoredColumn:
         starts = self.partition_starts
         pending: list[tuple[int, BuildResult, int, SearchResult, tuple | None]] = []
         for label, result in labeled_results:
-            if label == "main":
-                label = ("main", 0)
-            if isinstance(label, tuple) and label and label[0] == "main":
-                index = label[1] if len(label) > 1 else 0
+            if label[0] == "main":
+                # Scan the partition version the label carries: the one whose
+                # dictionary produced this result.
+                _, index, build = label
                 if not 0 <= index < len(self.partition_builds):
                     raise QueryError(f"unknown main partition {index}")
-                # Scan the partition version the label carries (the one whose
-                # dictionary produced this result); fall back to the current
-                # build for index-only labels from pre-rotation callers.
-                build = label[2] if len(label) > 2 else self.partition_builds[index]
                 signature = None
                 if scan_cache is not None:
                     signature = (
@@ -529,9 +499,7 @@ class EncryptedStoredColumn:
                         continue
                 parts.append(None)
                 pending.append((len(parts) - 1, build, index, result, signature))
-            elif label == "delta" or (
-                isinstance(label, tuple) and label and label[0] == "delta"
-            ):
+            elif label[0] == "delta":
                 # The ED9 delta attribute vector is the identity: entry i of
                 # the delta dictionary belongs to delta row i.
                 delta_rids = np.asarray(result.vids, dtype=np.int64)
@@ -559,37 +527,6 @@ class EncryptedStoredColumn:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
 
-    def search_tau(
-        self,
-        tau: tuple[bytes, bytes],
-        host: EnclaveHost,
-        *,
-        scan_cache: dict | None = None,
-    ) -> np.ndarray:
-        """Global RecordIDs matching the encrypted range ``τ``.
-
-        The unbatched path: one ``dict_search`` ecall per non-empty store
-        partition. Batched plans instead call :meth:`search_requests` +
-        :meth:`record_ids_from_results` around one ``dict_search_batch``.
-        """
-        labeled = [
-            (label, host.ecall("dict_search", dictionary, request_tau))
-            for label, dictionary, request_tau in self.search_requests(tau)
-        ]
-        return self.record_ids_from_results(
-            labeled, cost_model=host.cost_model, scan_cache=scan_cache
-        )
-
-    def partition_snapshot(self) -> list[BuildResult]:
-        """A consistent point-in-time copy of the serving partition list.
-
-        ``list()`` of a list is atomic under the interpreter even while a
-        rotation swap stores into an item, and each :class:`BuildResult` is
-        immutable once installed — so one snapshot per query keeps every
-        reconstruction on a single version of the column.
-        """
-        return list(self.partition_builds)
-
     def render_view(self) -> tuple[list[BuildResult], list[bytes], int]:
         """``(builds, delta_blobs, key_epoch)`` captured in one critical
         section, for result rendering.
@@ -613,7 +550,7 @@ class EncryptedStoredColumn:
         """Tuple reconstruction: the PAE blob of one global RecordID.
 
         ``builds`` / ``delta_blobs`` pin the lookup to a
-        :meth:`render_view` (or :meth:`partition_snapshot`) so a multi-row
+        :meth:`render_view` so a multi-row
         render never mixes partition versions (and thus key epochs) while an
         online rotation swaps partitions underneath it.
         """
@@ -645,19 +582,6 @@ class EncryptedStoredColumn:
             for offset, vid in enumerate(build.attribute_vector)
             if keep is None or keep[offset]
         ]
-
-    def all_blobs_in_row_order(self, valid: np.ndarray) -> list[bytes]:
-        """Surviving row blobs, for the enclave's merge rebuild."""
-        return [
-            self.blob_at(record_id)
-            for record_id in range(len(self))
-            if valid[record_id]
-        ]
-
-    def replace_main(self, build: BuildResult) -> None:
-        """Install the enclave's merge output and clear the delta store."""
-        self.set_partitions([build])
-        self.delta_blobs = []
 
     # -- online rotation (repro.migrate) ---------------------------------
     @property
@@ -812,16 +736,18 @@ class EncryptedStoredColumn:
 
     def join_tokens(self, host: EnclaveHost, salt: bytes) -> list[bytes]:
         """Per-row join tokens issued by the enclave (one per global rid)."""
+        builds, delta_blobs, key_epoch = self.render_view()
         tokens: list[bytes] = []
-        for build in self.partition_builds:
+        for build in builds:
             if not len(build.attribute_vector):
                 continue
             entry_tokens = host.ecall("join_tokens", build.dictionary, salt)
             tokens.extend(
                 entry_tokens[int(vid)] for vid in build.attribute_vector
             )
-        if self.delta_blobs:
-            tokens.extend(host.ecall("join_tokens", self._delta_dictionary(), salt))
+        if delta_blobs:
+            delta = self._delta_dictionary(delta_blobs, key_epoch)
+            tokens.extend(host.ecall("join_tokens", delta, salt))
         return tokens
 
     def storage_bytes(self) -> int:

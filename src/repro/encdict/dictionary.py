@@ -55,9 +55,6 @@ class EncryptedDictionary:
     #: Like ``partition_id`` this is server-side bookkeeping and is not
     #: registered on the wire — owner-shipped builds are always epoch 0.
     key_epoch: int = 0
-    #: Number of attribute-vector entries this dictionary serves; only used
-    #: for storage accounting of the packed ValueID width.
-    load_count: int = field(default=0, repr=False)
     #: Lazily materialized ``offsets.tolist()``: plain-int indexing is far
     #: cheaper than numpy scalar indexing on the per-probe hot path.
     _offsets_list: list | None = field(default=None, repr=False, compare=False)
@@ -101,7 +98,6 @@ class EncryptedDictionary:
             offsets = self._offsets_list = self.offsets.tolist()
         if not 0 <= index < len(offsets) - 1:
             raise IndexError(f"dictionary index {index} out of range 0..{len(self)-1}")
-        self.load_count += 1
         return self.tail[offsets[index]:offsets[index + 1]]
 
     def entries(self) -> Iterator[bytes]:

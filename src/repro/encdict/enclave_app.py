@@ -151,43 +151,37 @@ class EncDBDBEnclave(Enclave):
         super().__init__(rng=rng)
         self._attestation = attestation if attestation is not None else AttestationService()
         self._pae = pae if pae is not None else default_pae()
-        # A bare enclave defaults to the paper-faithful slow path (constant
-        # enclave memory, decrypt-every-probe); EncDBDBServer opts into the
-        # fast path explicitly. This keeps Figure 8 engines and the
-        # constant-memory tests untouched by PR 1's optimizations.
-        self.fastpath = fastpath if fastpath is not None else FastPathConfig.disabled()
-        self._entry_cache: EnclaveLruCache | None = None
-        if self.fastpath.enabled:
-            self._entry_cache = EnclaveLruCache(
-                budget_bytes=self.fastpath.dictionary_cache_bytes,
-                cost_model=self.cost_model,
-                epc=self.epc,
+        # A bare enclave is the paper's: constant memory, no resident
+        # plaintext. EncDBDBServer passes its sizing down; budget 0 reserves
+        # no EPC and builds no cache object at all.
+        cache_bytes = fastpath.dictionary_cache_bytes if fastpath is not None else 0
+        self._entry_cache: EnclaveLruCache | None = (
+            EnclaveLruCache(
+                budget_bytes=cache_bytes, cost_model=self.cost_model, epc=self.epc
             )
+            if cache_bytes
+            else None
+        )
         # Monotonic per-(table, column, partition) write counters. Not
         # secret: each bump corresponds to a write ecall the untrusted side
         # already observes. Partition granularity means rebuilding one
         # partition leaves every other partition's cached plaintext valid.
         self._column_epochs: dict[tuple[str, str, int], int] = {}
         self._searcher = DictionarySearcher(
-            self._pae,
-            self.cost_model,
-            cache=self._entry_cache,
-            vectorized=self.fastpath.enabled,
+            self._pae, self.cost_model, cache=self._entry_cache
         )
 
     # ------------------------------------------------------------------
-    # Fast-path bookkeeping
+    # Entry-cache bookkeeping
     # ------------------------------------------------------------------
     @property
     def entry_cache(self) -> EnclaveLruCache | None:
-        """The decrypted-entry cache (``None`` when the fast path is off)."""
+        """The decrypted-entry cache (``None`` at a budget of 0)."""
         return self._entry_cache
 
     def fastpath_stats(self) -> dict[str, int] | None:
         """Cache counters for benchmarks/tests; ``None`` without a cache."""
-        if self._entry_cache is None:
-            return None
-        return self._entry_cache.stats.snapshot()
+        return self._searcher.cache_stats()
 
     def fastpath_partition_usage(self) -> dict[tuple, int] | None:
         """EPC bytes the entry cache holds per (table, column, partition).
@@ -196,9 +190,7 @@ class EncDBDBEnclave(Enclave):
         resident and lets tests assert that evictions/invalidations are
         scoped to single partitions. ``None`` without a cache.
         """
-        if self._entry_cache is None:
-            return None
-        return self._entry_cache.group_usage()
+        return self._searcher.partition_usage()
 
     def _epoch(
         self, table_name: str, column_name: str, partition_id: int | None = None
@@ -231,10 +223,7 @@ class EncDBDBEnclave(Enclave):
         """
         key = (table_name, column_name, partition_id)
         self._column_epochs[key] = self._column_epochs.get(key, 0) + 1
-        if self._entry_cache is not None:
-            self._entry_cache.invalidate_prefix(
-                (table_name, column_name, partition_id)
-            )
+        self._searcher.invalidate_partition(table_name, column_name, partition_id)
 
     def _reset_caches(self) -> None:
         """Drop all memoized key material and plaintext.
@@ -243,8 +232,7 @@ class EncDBDBEnclave(Enclave):
         every decrypted entry may be stale under the new master key.
         """
         self.protected_set(_KEY_CACHE, {})
-        if self._entry_cache is not None:
-            self._entry_cache.clear()
+        self._searcher.clear()
 
     # ------------------------------------------------------------------
     # Provisioning (paper §4.2, steps 1-2)
@@ -335,17 +323,14 @@ class EncDBDBEnclave(Enclave):
 
         ``key_epoch`` selects the storage-key generation of an online key
         rotation (``repro.migrate``); epoch 0 is both the original column key
-        and the fixed *transit* key for proxy↔enclave encodings. With the
-        fast path on, derivations are memoized in the protected store — HKDF
-        per ecall is pure overhead once ``SKDB`` is fixed, and the cache is
-        wiped whenever the master key is (re)provisioned.
+        and the fixed *transit* key for proxy↔enclave encodings. Derivations
+        are memoized in the protected store — HKDF per ecall is pure overhead
+        once ``SKDB`` is fixed — in a memo bounded at
+        ``_KEY_CACHE_MAX_ENTRIES`` keys (constant enclave memory) and wiped
+        whenever the master key is (re)provisioned.
         """
         if not self.protected_has(_MASTER_KEY):
             raise EnclaveSecurityError("master key has not been provisioned")
-        if not self.fastpath.enabled:
-            return derive_column_key(
-                self.protected_get(_MASTER_KEY), table_name, column_name, key_epoch
-            )
         if not self.protected_has(_KEY_CACHE):
             self.protected_set(_KEY_CACHE, {})
         cache: dict = self.protected_get(_KEY_CACHE)
@@ -359,6 +344,22 @@ class EncDBDBEnclave(Enclave):
                 cache.clear()
             cache[cache_key] = derived
         return derived
+
+    def _opening(self, dictionary: EncryptedDictionary) -> dict[str, bytes | int]:
+        """What opening ``dictionary``'s entries takes: the storage key of
+        its ``key_epoch`` and its partition's current write epoch.
+
+        The only reader of the two server-side bookkeeping fields; both
+        decode with the dataclass default of 0 when a dictionary arrives
+        over the wire (``net/protocol.py``).
+        """
+        table_name, column_name = dictionary.table_name, dictionary.column_name
+        return {
+            "key": self._column_key(table_name, column_name, dictionary.key_epoch),
+            "cache_epoch": self._epoch(
+                table_name, column_name, dictionary.partition_id
+            ),
+        }
 
     # ------------------------------------------------------------------
     # Query processing (paper §4.2, step 8)
@@ -384,24 +385,7 @@ class EncDBDBEnclave(Enclave):
         )
         self.cost_model.record_decryption(len(low_blob))
         self.cost_model.record_decryption(len(high_blob))
-        key_epoch = getattr(dictionary, "key_epoch", 0)
-        key = (
-            transit_key
-            if not key_epoch
-            else self._column_key(
-                dictionary.table_name, dictionary.column_name, key_epoch
-            )
-        )
-        return self._searcher.search(
-            dictionary,
-            search,
-            key=key,
-            cache_epoch=self._epoch(
-                dictionary.table_name,
-                dictionary.column_name,
-                getattr(dictionary, "partition_id", 0),
-            ),
-        )
+        return self._searcher.search(dictionary, search, **self._opening(dictionary))
 
     @ecall
     def dict_search(
@@ -453,54 +437,18 @@ class EncDBDBEnclave(Enclave):
         import hashlib
         import hmac as hmac_module
 
-        from repro.encdict.search import CachedEntry, cached_entry_footprint
-
-        key = self._column_key(
-            dictionary.table_name,
-            dictionary.column_name,
-            getattr(dictionary, "key_epoch", 0),
-        )
+        # Join-side decryptions share the entry cache with dict_search: a
+        # join after a scan of the same column costs no re-decryption.
+        accessor = self._searcher.accessor(dictionary, **self._opening(dictionary))
         join_key = hkdf_sha256(
             self.protected_get(_MASTER_KEY),
             info=b"EncDBDB-join\x00" + salt,
             length=16,
         )
-        partition_id = getattr(dictionary, "partition_id", 0)
-        epoch = self._epoch(
-            dictionary.table_name, dictionary.column_name, partition_id
-        )
-        tokens = []
-        for blob in dictionary.entries():
-            # Join-side decryptions share the entry cache with dict_search:
-            # a join after a scan of the same column costs no re-decryption.
-            entry = None
-            cache_key = None
-            if self._entry_cache is not None:
-                cache_key = (
-                    dictionary.table_name,
-                    dictionary.column_name,
-                    partition_id,
-                    epoch,
-                    blob,
-                )
-                entry = self._entry_cache.get(cache_key)
-            if entry is None:
-                plaintext = self._pae.decrypt(key, blob)
-                self.cost_model.record_decryption(len(blob))
-                if self._entry_cache is not None:
-                    self._entry_cache.put(
-                        cache_key,
-                        CachedEntry(
-                            plaintext, dictionary.value_type.from_bytes(plaintext)
-                        ),
-                        cached_entry_footprint(blob, plaintext),
-                    )
-            else:
-                plaintext = entry.plaintext
-            tokens.append(
-                hmac_module.new(join_key, plaintext, hashlib.sha256).digest()[:16]
-            )
-        return tokens
+        return [
+            hmac_module.new(join_key, plaintext, hashlib.sha256).digest()[:16]
+            for plaintext in accessor.open_entries(range(len(dictionary)))
+        ]
 
     # ------------------------------------------------------------------
     # Dynamic data (paper §4.3)
@@ -657,7 +605,7 @@ class EncDBDBEnclave(Enclave):
         table_name = old_dictionary.table_name
         column_name = old_dictionary.column_name
         value_type = old_dictionary.value_type
-        partition_id = getattr(old_dictionary, "partition_id", 0)
+        partition_id = old_dictionary.partition_id
         if partition_index < 0:
             raise QueryError(f"invalid partition index {partition_index}")
         if len(old_dictionary) == 0:
@@ -665,14 +613,15 @@ class EncDBDBEnclave(Enclave):
         # The old partition's cached plaintext is dropped now (write-ecall
         # discipline); queries re-warm it from the still-serving old build.
         self._bump_epoch(table_name, column_name, partition_id)
-        old_key = self._column_key(
-            table_name, column_name, getattr(old_dictionary, "key_epoch", 0)
+        # One pass over a partition about to be replaced: opened past the
+        # entry cache so it cannot evict what live queries are using.
+        accessor = self._searcher.accessor(
+            old_dictionary, cached=False, **self._opening(old_dictionary)
         )
-        entry_blobs = list(old_dictionary.entries())
-        entry_plaintexts = self._pae.decrypt_many(old_key, entry_blobs)
-        for blob in entry_blobs:
-            self.cost_model.record_decryption(len(blob))
-        entries = [value_type.from_bytes(raw) for raw in entry_plaintexts]
+        entries = [
+            value_type.from_bytes(raw)
+            for raw in accessor.open_entries(range(len(old_dictionary)))
+        ]
         values = [entries[int(vid)] for vid in attribute_vector]
         # Replay the canonical fork discipline: child i of the rotation root
         # is a pure function of (SKDB, rotation target, partition index), so
@@ -750,59 +699,8 @@ class EncDBDBEnclave(Enclave):
         join entry cache, so a range scan followed by an aggregate over the
         same column costs no re-decryption.
         """
-        from repro.encdict.search import CachedEntry, cached_entry_footprint
-
-        key = self._column_key(
-            dictionary.table_name,
-            dictionary.column_name,
-            getattr(dictionary, "key_epoch", 0),
-        )
-        partition_id = getattr(dictionary, "partition_id", 0)
-        epoch = self._epoch(
-            dictionary.table_name, dictionary.column_name, partition_id
-        )
-        plaintexts: list = [None] * len(indices)
-        miss_positions: list[int] = []
-        miss_blobs: list[bytes] = []
-        miss_keys: list[tuple] = []
-        for position, index in enumerate(indices):
-            blob = dictionary.entry(int(index))
-            cache_key = (
-                dictionary.table_name,
-                dictionary.column_name,
-                partition_id,
-                epoch,
-                blob,
-            )
-            entry = (
-                self._entry_cache.get(cache_key)
-                if self._entry_cache is not None
-                else None
-            )
-            if entry is not None:
-                plaintexts[position] = entry.plaintext
-            else:
-                miss_positions.append(position)
-                miss_blobs.append(blob)
-                miss_keys.append(cache_key)
-        if miss_blobs:
-            opened = self._pae.decrypt_many(key, miss_blobs)
-            self.cost_model.record_decryption_batch(
-                len(miss_blobs), sum(len(blob) for blob in miss_blobs)
-            )
-            for position, blob, cache_key, plaintext in zip(
-                miss_positions, miss_blobs, miss_keys, opened
-            ):
-                plaintexts[position] = plaintext
-                if self._entry_cache is not None:
-                    self._entry_cache.put(
-                        cache_key,
-                        CachedEntry(
-                            plaintext, dictionary.value_type.from_bytes(plaintext)
-                        ),
-                        cached_entry_footprint(blob, plaintext),
-                    )
-        return plaintexts
+        accessor = self._searcher.accessor(dictionary, **self._opening(dictionary))
+        return accessor.open_entries(indices)
 
     @ecall
     def aggregate_groups(

@@ -26,15 +26,18 @@ Three search families correspond to the order options:
 
 All comparisons happen on order-preserving ordinals
 (:meth:`~repro.columnstore.types.ValueType.ordinal`), so one code path
-serves VARCHAR and INTEGER columns. Every entry access decrypts one blob
-loaded from untrusted memory and is charged to the cost model; enclave
-memory use is constant.
+serves VARCHAR and INTEGER columns. Every entry access loads one blob from
+untrusted memory; without an entry cache it is decrypted on the spot and
+enclave memory use is constant (the paper's enclave). With one,
+:class:`DictionaryAccessor` is the only place that decides between a cached
+plaintext and a PAE decryption: per probe in ``_decrypt_blob``, per batch
+in ``open_entries``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.columnstore.types import ValueType
 from repro.crypto.pae import Pae
@@ -138,17 +141,19 @@ def cached_entry_footprint(blob: bytes, plaintext: bytes) -> int:
 
 
 class DictionaryAccessor:
-    """Loads, authenticates and decodes dictionary entries for the searches.
+    """Loads, authenticates and decodes dictionary entries inside the enclave.
 
     For an encrypted dictionary this decrypts with the per-column key; for
     the PlainDBDB baseline (``encrypted=False``) it only deserializes. Every
-    access is charged to the cost model, and the probe sequence is recorded
+    search probe is charged to the cost model and recorded in the probe log
     so tests can assert access-pattern properties.
 
-    When an :class:`~repro.sgx.cache.EnclaveLruCache` is attached, decrypted
-    entries are memoized per ``(table, column, epoch, ciphertext)``. Keying
-    by the ciphertext blob itself makes a stale hit structurally impossible
-    — a different blob is a different key — while the epoch (bumped by the
+    ``cache`` is the enclave's :class:`~repro.sgx.cache.EnclaveLruCache`, or
+    ``None`` for the constant-memory enclave — this class holds the only
+    cache-or-decrypt decisions of the TCB. Decrypted entries are memoized
+    per ``(table, column, partition, epoch, ciphertext)``. Keying by the
+    ciphertext blob itself makes a stale hit structurally impossible — a
+    different blob is a different key — while the epoch (bumped by the
     enclave on every write ecall) bounds the lifetime of dead entries after
     re-encryption. Cache hits skip the PAE decryption (and its cost-model
     charge) but are still recorded in the probe log and charged as untrusted
@@ -172,7 +177,6 @@ class DictionaryAccessor:
         self._pae = pae
         self._cost = cost_model
         self._cache = cache
-        self._cache_epoch = cache_epoch
         # Cache-key prefix, built once: every probe of this accessor shares
         # the same (table, column, partition, epoch) tuple. Partitions of
         # one column carry independent dictionaries, so their cached
@@ -181,7 +185,7 @@ class DictionaryAccessor:
         self._cache_prefix = (
             dictionary.table_name,
             dictionary.column_name,
-            getattr(dictionary, "partition_id", 0),
+            dictionary.partition_id,
             cache_epoch,
         )
         self._packed: object | None = None  # numpy array once attached
@@ -194,8 +198,12 @@ class DictionaryAccessor:
     def value_type(self) -> ValueType:
         return self._dictionary.value_type
 
-    def _decrypt_blob(self, blob: bytes) -> CachedEntry:
-        """Decrypt + decode one ciphertext blob, through the cache if any."""
+    def _decrypt_blob(self, blob: bytes, decode=None) -> CachedEntry:
+        """Decrypt + decode one ciphertext blob, through the cache if any.
+
+        ``decode`` defaults to the column's value codec; the rotation offset
+        passes its own.
+        """
         cache = self._cache
         if cache is not None:
             cache_key = self._cache_prefix + (blob,)
@@ -205,20 +213,60 @@ class DictionaryAccessor:
         plaintext = self._pae.decrypt(self._key, blob)
         if self._cost is not None:
             self._cost.record_decryption(len(blob))
-        entry = CachedEntry(plaintext, self._dictionary.value_type.from_bytes(plaintext))
+        if decode is None:
+            decode = self._dictionary.value_type.from_bytes
+        entry = CachedEntry(plaintext, decode(plaintext))
         if cache is not None:
             cache.put(cache_key, entry, cached_entry_footprint(blob, plaintext))
         return entry
 
-    def raw_value(self, index: int):
-        """Load entry ``index`` from untrusted memory and decode it."""
-        self.probes.append(index)
-        blob = self._dictionary.entry(index)
+    def _decrypt_batch(self, blobs: list[bytes]) -> list[bytes]:
+        """One ``decrypt_many`` and one cost-model charge for ``blobs``."""
+        plaintexts = self._pae.decrypt_many(self._key, blobs)
         if self._cost is not None:
-            self._cost.record_untrusted_load()
-        if not self._dictionary.encrypted:
-            return self._dictionary.value_type.from_bytes(blob)
-        return self._decrypt_blob(blob).value
+            self._cost.record_decryption_batch(
+                len(blobs), sum(len(blob) for blob in blobs)
+            )
+        return plaintexts
+
+    def open_entries(self, indices: Iterable[int]) -> list[bytes]:
+        """Plaintext bytes of the entries at ``indices``, opened as a batch.
+
+        The bulk ecalls (join tokens, aggregation, partition rotation) name
+        the entries they need up front, so the misses of a whole call share
+        one PAE batch. Opened entries land in — and are served from — the
+        same cache the per-probe searches use: a join or aggregate after a
+        range scan of the same column re-decrypts nothing. No probe is
+        logged and no load charged; which entries a bulk ecall touches is
+        determined by its arguments, not by a search.
+        """
+        dictionary = self._dictionary
+        blobs = [dictionary.entry(int(index)) for index in indices]
+        cache = self._cache
+        if cache is None:
+            return self._decrypt_batch(blobs)
+        prefix = self._cache_prefix
+        plaintexts: list = [None] * len(blobs)
+        misses = []
+        for position, blob in enumerate(blobs):
+            cached = cache.get(prefix + (blob,))
+            if cached is None:
+                misses.append(position)
+            else:
+                plaintexts[position] = cached.plaintext
+        if misses:
+            decode = dictionary.value_type.from_bytes
+            miss_blobs = [blobs[position] for position in misses]
+            for position, blob, plaintext in zip(
+                misses, miss_blobs, self._decrypt_batch(miss_blobs)
+            ):
+                plaintexts[position] = plaintext
+                cache.put(
+                    prefix + (blob,),
+                    CachedEntry(plaintext, decode(plaintext)),
+                    cached_entry_footprint(blob, plaintext),
+                )
+        return plaintexts
 
     @property
     def packed(self):
@@ -245,27 +293,22 @@ class DictionaryAccessor:
         partition's key prefix. ``fill=False`` never decrypts — the
         logarithmic searches use the packed array opportunistically but
         must not trade their O(log n) decryption count for an O(n) fill.
+        Without a cache there is nowhere to keep an array: ``None``, and the
+        scalar loops run in constant memory.
         """
-        if self._packed is not None:
-            return self._packed
         cache = self._cache
-        cache_key = None
-        if cache is not None:
-            dictionary = self._dictionary
-            n = len(dictionary)
-            cache_key = self._cache_prefix + (
-                PACKED_SENTINEL,
-                n,
-                dictionary.entry(0) if n else b"",
-            )
-            packed = cache.get(cache_key)
-            if packed is not None:
-                self._packed = packed
-                return packed
-        if not fill:
-            return None
-        packed = self._fill_packed()
-        if cache is not None:
+        if self._packed is not None or cache is None:
+            return self._packed
+        dictionary = self._dictionary
+        n = len(dictionary)
+        cache_key = self._cache_prefix + (
+            PACKED_SENTINEL,
+            n,
+            dictionary.entry(0) if n else b"",
+        )
+        packed = cache.get(cache_key)
+        if packed is None and fill:
+            packed = self._fill_packed()
             cache.put(cache_key, packed, kernels.packed_footprint(packed))
         self._packed = packed
         return packed
@@ -274,21 +317,13 @@ class DictionaryAccessor:
         """Decrypt-once: every entry's ordinal, packed into one array.
 
         Charges one decryption per entry (the same logical count a cold
-        scalar linear scan pays) in a single locked cost-model update, and
-        decrypts through the PAE batch API so the whole partition reuses
-        one cipher context.
+        scalar linear scan pays) through the shared PAE batch site; the
+        per-entry plaintext is not cached, only the packed array is.
         """
         dictionary = self._dictionary
         value_type = dictionary.value_type
         blobs = [dictionary.entry(i) for i in range(len(dictionary))]
-        if not dictionary.encrypted:
-            plaintexts = blobs
-        else:
-            plaintexts = self._pae.decrypt_many(self._key, blobs)
-            if self._cost is not None:
-                self._cost.record_decryption_batch(
-                    len(blobs), sum(len(blob) for blob in blobs)
-                )
+        plaintexts = self._decrypt_batch(blobs) if dictionary.encrypted else blobs
         return kernels.pack_ordinals(
             [value_type.ordinal(value_type.from_bytes(p)) for p in plaintexts]
         )
@@ -330,22 +365,11 @@ class DictionaryAccessor:
             raise QueryError("dictionary carries no rotation offset")
         if not self._dictionary.encrypted:
             return int.from_bytes(blob, "big")
-        if self._cache is not None:
-            cache_key = self._cache_prefix + (blob,)
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                return cached.value
-        plaintext = self._pae.decrypt(self._key, blob)
-        if self._cost is not None:
-            self._cost.record_decryption(len(blob))
-        offset = int.from_bytes(plaintext, "big")
-        if self._cache is not None:
-            self._cache.put(
-                cache_key,
-                CachedEntry(plaintext, offset),
-                cached_entry_footprint(blob, plaintext),
-            )
-        return offset
+        return self._decrypt_blob(blob, _decode_offset).value
+
+
+def _decode_offset(plaintext: bytes) -> int:
+    return int.from_bytes(plaintext, "big")
 
 
 # ----------------------------------------------------------------------
@@ -495,27 +519,42 @@ _SEARCHERS = {
 class DictionarySearcher:
     """Dispatches ``EnclDictSearch`` by encrypted-dictionary kind.
 
-    With ``vectorized=True`` (the fast path's default) each search first
+    Owns the enclave's optional entry cache and hands it to every
+    :class:`DictionaryAccessor` it makes. With a cache, each search first
     tries the partition's packed-ordinal array: the unsorted family fills
     it eagerly (decrypt-once, then the boolean-mask kernel — its cold cost
     already equals a full decrypt pass), while the logarithmic sorted and
     rotated searches attach it only when already resident, keeping their
-    O(log n) decryption profile intact. ``vectorized=False`` is the scalar
-    reference path the paper figures are reproduced against.
+    O(log n) decryption profile intact. Without one there is nowhere to
+    keep a packed array, so every search runs the scalar loops below:
+    constant enclave memory, one decryption per probe.
     """
 
     def __init__(
-        self,
-        pae: Pae,
-        cost_model: CostModel | None = None,
-        cache=None,
-        *,
-        vectorized: bool = True,
+        self, pae: Pae, cost_model: CostModel | None = None, cache=None
     ) -> None:
         self._pae = pae
         self._cost = cost_model
         self._cache = cache
-        self._vectorized = vectorized
+
+    def accessor(
+        self,
+        dictionary: EncryptedDictionary,
+        *,
+        key: bytes | None,
+        cache_epoch: int = 0,
+        cached: bool = True,
+    ) -> DictionaryAccessor:
+        """An accessor on ``dictionary``; ``cached=False`` bypasses the
+        entry cache for one-shot bulk reads that must not churn it."""
+        return DictionaryAccessor(
+            dictionary,
+            key=key,
+            pae=self._pae,
+            cost_model=self._cost,
+            cache=self._cache if cached else None,
+            cache_epoch=cache_epoch,
+        )
 
     def search(
         self,
@@ -527,17 +566,31 @@ class DictionarySearcher:
     ) -> SearchResult:
         kind = dictionary.kind
         order = kind.order if kind is not None else OrderOption.SORTED
-        accessor = DictionaryAccessor(
-            dictionary,
-            key=key,
-            pae=self._pae,
-            cost_model=self._cost,
-            cache=self._cache,
-            cache_epoch=cache_epoch,
-        )
-        if self._vectorized and len(dictionary) > 0 and not search.is_empty:
+        accessor = self.accessor(dictionary, key=key, cache_epoch=cache_epoch)
+        if len(dictionary) > 0 and not search.is_empty:
             accessor.packed_ordinals(fill=order is OrderOption.UNSORTED)
         return _SEARCHERS[order](accessor, search)
+
+    # -- cache lifetime: None-safe so the enclave program never branches --
+    def invalidate_partition(
+        self, table_name: str, column_name: str, partition_id: int
+    ) -> None:
+        """Drop one partition's cached plaintext (a write ecall touched it)."""
+        if self._cache is not None:
+            self._cache.invalidate_prefix((table_name, column_name, partition_id))
+
+    def clear(self) -> None:
+        """Drop all cached plaintext (key material changed)."""
+        if self._cache is not None:
+            self._cache.clear()
+
+    def cache_stats(self) -> dict[str, int] | None:
+        """Cache counters; ``None`` for the constant-memory enclave."""
+        return None if self._cache is None else self._cache.stats.snapshot()
+
+    def partition_usage(self) -> dict[tuple, int] | None:
+        """Resident bytes per ``(table, column, partition)``, or ``None``."""
+        return None if self._cache is None else self._cache.group_usage()
 
 
 def plain_search(

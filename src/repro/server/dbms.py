@@ -58,17 +58,17 @@ class EncDBDBServer:
         rng = rng if rng is not None else HmacDrbg(b"encdbdb-server")
         self.attestation = attestation if attestation is not None else AttestationService()
         self.catalog = Catalog()
-        # Production deployments run the query fast path (PR 1) by default;
-        # pass FastPathConfig.disabled() for the paper-faithful baseline.
-        self.fastpath = fastpath if fastpath is not None else FastPathConfig()
         self._enclave = EncDBDBEnclave(
             attestation=self.attestation,
             pae=pae if pae is not None else default_pae(rng=rng.fork("enclave-pae")),
             rng=rng.fork("enclave"),
-            fastpath=self.fastpath,
+            # The enclave's entry-cache budget: the default size unless
+            # given; FastPathConfig(dictionary_cache_bytes=0) is the paper's
+            # constant-memory enclave.
+            fastpath=fastpath if fastpath is not None else FastPathConfig(),
         )
         self.enclave_host = EnclaveHost(self._enclave)
-        self.executor = Executor(self.catalog, self.enclave_host, fastpath=self.fastpath)
+        self.executor = Executor(self.catalog, self.enclave_host)
         # Kept here so load() rebuilds the manager on the same salt stream.
         self._migration_salt_rng = rng.fork("migration-salts")
         self.migrations = MigrationManager(
@@ -439,7 +439,7 @@ class EncDBDBServer:
         if self.catalog.table_names():
             raise QueryError("load() requires an empty server catalog")
         self.catalog = loaded
-        self.executor = Executor(self.catalog, self.enclave_host, fastpath=self.fastpath)
+        self.executor = Executor(self.catalog, self.enclave_host)
         self.migrations = MigrationManager(
             self.catalog, self.enclave_host, salt_rng=self._migration_salt_rng
         )

@@ -1,9 +1,9 @@
-"""In-enclave caching and the query fast-path configuration.
+"""In-enclave caching: the one sizing value of the encrypted search path.
 
 EncDBDB's evaluation argues entirely in terms of boundary crossings,
 per-entry decryptions, and attribute-vector comparisons (§5, Fig. 8,
 Table 4) — and a naive reproduction pays the worst case for all three on
-every query. This module provides the two knobs the fast path is built on:
+every query. This module provides the lever that amortizes them:
 
 - :class:`EnclaveLruCache`, a strictly budgeted LRU that memoizes decrypted
   dictionary entries *inside* the enclave. Its capacity is charged against
@@ -13,11 +13,9 @@ every query. This module provides the two knobs the fast path is built on:
   paging event. Enclave analytical engines live or die by amortizing
   transition and EPC-paging costs (DuckDB-SGX2; StealthDB caches decrypted
   state under a strict memory budget) — this is that lever.
-- :class:`FastPathConfig`, the single configuration object that selects
-  between the fast path (entry cache, derived-key cache, batched ecalls,
-  vectorized kernels, scan-mask reuse — all of it) and the unoptimized
-  paper-faithful path behind :meth:`FastPathConfig.disabled`, which keeps
-  the Figure 8 numbers reproducible.
+- :class:`FastPathConfig`, which holds that budget and nothing else. A
+  budget of 0 means no cache object exists at all: the paper's
+  constant-memory enclave, which decrypts every probe (Figure 8, Table 4).
 
 Security argument (see DESIGN.md "Query fast path"): cached plaintext lives
 only in enclave-protected memory, keyed by the ciphertext blob itself, so a
@@ -211,24 +209,22 @@ class EnclaveLruCache:
 
 @dataclass(frozen=True)
 class FastPathConfig:
-    """Configuration of the query fast path (PR 1): two profiles.
+    """The enclave's decrypted-entry budget: the search path's one setting.
 
-    ``FastPathConfig()`` is the *fast* profile every deployment runs:
-    decrypted-entry and derived-key caches inside the enclave, one batched
-    ``dict_search_batch`` ecall per query, packed-ordinal vectorized search
-    kernels and per-query scan-mask reuse. :meth:`disabled` is the *paper*
-    profile: the one-ecall-per-filter, decrypt-every-probe,
-    constant-enclave-memory behaviour the Figure 8 benchmarks reproduce.
-    The layers are not individually switchable — no deployment ever ran a
-    mixture, and each independent switch doubled the configurations to keep
-    correct. What remains tunable is sizing.
+    A positive ``dictionary_cache_bytes`` reserves that much EPC for an
+    :class:`EnclaveLruCache` of decrypted entries and packed-ordinal arrays.
+    0 is the paper's constant-memory enclave: no cache exists, nothing is
+    reserved, every probe is decrypted and ED3/6/9 scan entry by entry.
+    Everything else the search path does — the derived-key memo, one
+    boundary crossing per query plan, per-query scan-mask reuse — holds no
+    per-dictionary state and is not configurable.
     """
 
-    enabled: bool = True
     #: EPC budget of the entry cache (charged against the 96 MiB model).
     dictionary_cache_bytes: int = 8 * 1024 * 1024
 
-    @classmethod
-    def disabled(cls) -> "FastPathConfig":
-        """The unoptimized, paper-faithful baseline."""
-        return cls(enabled=False)
+    def __post_init__(self) -> None:
+        if self.dictionary_cache_bytes < 0:
+            raise EnclaveMemoryError(
+                "dictionary_cache_bytes must be 0 (no cache) or positive"
+            )

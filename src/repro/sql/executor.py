@@ -21,7 +21,6 @@ from repro.columnstore.dictionary import DictionaryEncodedColumn
 from repro.columnstore.partition import DEFAULT_PARTITION_ROWS, PartitionMap
 from repro.columnstore.table import Table
 from repro.exceptions import QueryError
-from repro.sgx.cache import FastPathConfig
 from repro.sgx.enclave import EnclaveHost
 from repro.sql.planner import (
     AggregatePushdown,
@@ -128,18 +127,9 @@ def _assemble_segments(
 class Executor:
     """Evaluates (already proxy-encrypted) plans on the column store."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        enclave_host: EnclaveHost | None,
-        *,
-        fastpath: FastPathConfig | None = None,
-    ) -> None:
+    def __init__(self, catalog: Catalog, enclave_host: EnclaveHost | None) -> None:
         self._catalog = catalog
         self._host = enclave_host
-        # A bare Executor keeps the paper-faithful one-ecall-per-filter
-        # behaviour; EncDBDBServer passes its (default-enabled) config down.
-        self.fastpath = fastpath if fastpath is not None else FastPathConfig.disabled()
         #: Layout-level counters of the most recent :meth:`merge`.
         self.last_merge_stats: MergeStats | None = None
 
@@ -150,11 +140,10 @@ class Executor:
         """Evaluate a filter tree to the set of matching, valid RecordIDs."""
         if plan is None:
             return table.all_valid_rids()
-        # Per-query state: batched enclave results keyed by filter leaf, and
-        # a scan-mask cache shared by all filters on this query's columns.
+        # Per-query state: enclave results keyed by filter leaf, and a
+        # scan-mask cache shared by all filters on this query's columns.
         prepared = self._prepare_encrypted_searches(table, plan)
-        scan_cache = {} if self.fastpath.enabled else None
-        return table.filter_valid(self._evaluate(table, plan, prepared, scan_cache))
+        return table.filter_valid(self._evaluate(table, plan, prepared, {}))
 
     def _collect_encrypted_leaves(
         self, plan: FilterPlan, leaves: list[EncryptedRangeFilter]
@@ -167,22 +156,18 @@ class Executor:
 
     def _prepare_encrypted_searches(
         self, table: Table, plan: FilterPlan
-    ) -> dict[int, list] | None:
+    ) -> dict[int, list]:
         """Run every encrypted dictionary search of a plan in ONE ecall.
 
         Collects the ``(dictionary, τ)`` requests of all encrypted filter
-        leaves (main and delta stores) and issues a single
-        ``dict_search_batch`` boundary crossing, returning a map from leaf
-        identity to its labeled :class:`SearchResult`\\ s. Returns ``None``
-        — meaning "use the per-leaf slow path" — when batching is off, no
-        enclave is attached, or the plan needs at most one search anyway.
+        leaves (main and delta stores) and crosses the enclave boundary at
+        most once: no request (no encrypted leaf, or only empty stores) is
+        no ecall, exactly one is the paper's ``dict_search``, several are one
+        ``dict_search_batch``. Returns a map from leaf identity to its
+        labeled :class:`SearchResult`\\ s.
         """
-        if not self.fastpath.enabled or self._host is None:
-            return None
         leaves: list[EncryptedRangeFilter] = []
         self._collect_encrypted_leaves(plan, leaves)
-        if not leaves:
-            return None
         requests = []  # flat [(dictionary, tau), ...] for the ecall
         slots = []  # parallel [(leaf_id, store_label), ...]
         for leaf in leaves:
@@ -191,13 +176,17 @@ class Executor:
                 raise QueryError(
                     f"encrypted filter for plaintext column {leaf.column!r}"
                 )
+            if self._host is None:
+                raise QueryError("no enclave available for encrypted columns")
             for label, dictionary, tau in column.search_requests(leaf.tau):
                 requests.append((dictionary, tau))
                 slots.append((id(leaf), label))
-        if len(requests) < 2:
-            # Nothing to amortize: a single search stays on dict_search.
-            return None
-        results = self._host.ecall("dict_search_batch", requests)
+        if len(requests) == 1:
+            results = [self._host.ecall("dict_search", *requests[0])]
+        elif requests:
+            results = self._host.ecall("dict_search_batch", requests)
+        else:
+            results = []
         prepared: dict[int, list] = {id(leaf): [] for leaf in leaves}
         for (leaf_id, label), result in zip(slots, results):
             prepared[leaf_id].append((label, result))
@@ -207,8 +196,8 @@ class Executor:
         self,
         table: Table,
         plan: FilterPlan,
-        prepared: dict[int, list] | None = None,
-        scan_cache: dict | None = None,
+        prepared: dict[int, list],
+        scan_cache: dict,
     ) -> np.ndarray:
         if isinstance(plan, FilterNode):
             child_sets = [
@@ -270,26 +259,14 @@ class Executor:
         self,
         table: Table,
         plan: EncryptedRangeFilter,
-        prepared: dict[int, list] | None = None,
-        scan_cache: dict | None = None,
+        prepared: dict[int, list],
+        scan_cache: dict,
     ) -> np.ndarray:
-        column = table.column(plan.column)
-        if not isinstance(column, EncryptedStoredColumn):
-            raise QueryError(
-                f"encrypted filter for plaintext column {plan.column!r}"
-            )
-        if self._host is None:
-            raise QueryError("no enclave available for encrypted columns")
-        if prepared is not None and id(plan) in prepared:
-            matches = column.record_ids_from_results(
-                prepared[id(plan)],
-                cost_model=self._host.cost_model,
-                scan_cache=scan_cache,
-            )
-        else:
-            matches = column.search_tau(
-                plan.tau, self._host, scan_cache=scan_cache
-            )
+        matches = table.column(plan.column).record_ids_from_results(
+            prepared[id(plan)],
+            cost_model=self._host.cost_model,
+            scan_cache=scan_cache,
+        )
         if plan.negated:
             return self._complement(table, matches)
         return matches
@@ -305,10 +282,7 @@ class Executor:
     def select(self, plan: SelectPlan) -> ServerResult:
         table = self._catalog.table(plan.table)
         record_ids = self.filter_record_ids(table, plan.filter)
-        result = ServerResult(table_name=table.name, record_ids=record_ids)
-        for name in plan.needed_columns:
-            result.columns[name] = self._render_column(table, name, record_ids)
-        return result
+        return self._render_rows(plan, table, record_ids)
 
     def _render_column(
         self, table: Table, name: str, record_ids: np.ndarray

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.columnstore.types import IntegerType, VarcharType
+from repro.columnstore.types import VarcharType
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import derive_column_key
 from repro.crypto.pae import default_pae, pae_gen
@@ -81,36 +81,63 @@ def _tau(master_key, pae, value_type, low, high):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
-def test_cached_results_identical_across_all_kinds(kind):
-    """Cold and warm cached searches match the uncached baseline exactly."""
-    seed = b"equiv-" + kind.name.encode()
-    baseline_host, master_key, pae, rng = _provisioned_host(
-        FastPathConfig.disabled(), seed=seed
-    )
-    cached_host, cached_key, cached_pae, cached_rng = _provisioned_host(
-        FastPathConfig(), seed=seed
-    )
-    # Same seed => identical keys and builds on both deployments.
-    assert cached_key == master_key
-    build = _build(master_key, pae, rng, VALUES, kind)
-    cached_build = _build(cached_key, cached_pae, cached_rng, VALUES, kind)
+#: The three regimes of the one sizing value: no cache at all, a cache too
+#: small for any packed array (per-entry LRU only), and the default.
+CACHE_SIZES = (0, 4096, FastPathConfig().dictionary_cache_bytes)
 
+
+def _observed_searches(kind, cache_bytes):
+    """Every observable of a cold and a warm search per range at one cache
+    size: SearchResult, probe log, RecordIDs, comparisons, untrusted loads."""
+    host, master_key, pae, rng = _provisioned_host(
+        FastPathConfig(dictionary_cache_bytes=cache_bytes),
+        seed=b"equiv-" + kind.name.encode(),
+    )
+    build = _build(master_key, pae, rng, VALUES, kind)
+    searcher = host._enclave._searcher
+    accessors = []
+    make_accessor = searcher.accessor
+
+    def recording_accessor(*args, **kwargs):
+        accessors.append(make_accessor(*args, **kwargs))
+        return accessors[-1]
+
+    searcher.accessor = recording_accessor
+    observed = []
     for low, high in [("a", "b"), ("b", "d"), ("e", "e"), ("f", "z")]:
         tau = _tau(master_key, pae, build.dictionary.value_type, low, high)
-        expected = baseline_host.ecall("dict_search", build.dictionary, tau)
-        cached_tau = _tau(
-            cached_key, cached_pae, cached_build.dictionary.value_type, low, high
-        )
-        cold = cached_host.ecall("dict_search", cached_build.dictionary, cached_tau)
-        warm = cached_host.ecall("dict_search", cached_build.dictionary, cached_tau)
-        # Byte-identical SearchResults: same ranges, same vids, cold and warm.
-        assert cold.ranges == expected.ranges and cold.vids == expected.vids, kind
-        assert warm.ranges == expected.ranges and warm.vids == expected.vids, kind
-        records = sorted(
-            attr_vect_search(cached_build.attribute_vector, warm).tolist()
-        )
-        assert records == reference_range_search(VALUES, low, high), kind
+        for _temperature in ("cold", "warm"):
+            before = host.cost_model.snapshot()
+            result = host.ecall("dict_search", build.dictionary, tau)
+            diff = host.cost_model.diff(before)
+            records = sorted(
+                attr_vect_search(build.attribute_vector, result).tolist()
+            )
+            assert records == reference_range_search(VALUES, low, high), kind
+            observed.append(
+                (
+                    result.ranges,
+                    result.vids,
+                    accessors[-1].probes,
+                    records,
+                    diff["comparisons"],
+                    diff["untrusted_loads"],
+                )
+            )
+    return observed
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+def test_cached_results_identical_across_all_kinds(kind):
+    """The cache size changes what is decrypted, never what is observable:
+    same seed => same keys and builds, so SearchResults, probe logs,
+    RecordIDs and the comparison / untrusted-load charges must be identical
+    at every size, cold and warm."""
+    uncached, tiny, default = (
+        _observed_searches(kind, cache_bytes) for cache_bytes in CACHE_SIZES
+    )
+    assert tiny == uncached
+    assert default == uncached
 
 
 def test_warm_cache_skips_decryptions():
@@ -269,8 +296,73 @@ def test_dict_search_batch_rejects_empty_request():
         host.ecall("dict_search_batch", [])
 
 
-def test_default_enclave_keeps_slow_path():
-    """A bare EncDBDBEnclave stays paper-faithful: no cache, no EPC use."""
+# ----------------------------------------------------------------------
+# One opener: searches, joins and aggregates share the entry cache
+# ----------------------------------------------------------------------
+
+SHARED_VALUES = ["b", "a", "c", "b", "a"]  # ED1 dictionary: 3 sorted entries
+
+
+def _full_scan(host, master_key, pae, build):
+    """A range covering the whole 3-entry dictionary: its two binary
+    searches probe entries {1, 0} and {1, 2}, i.e. every entry."""
+    tau = _tau(master_key, pae, build.dictionary.value_type, "a", "c")
+    return host.ecall("dict_search", build.dictionary, tau)
+
+
+def _count_by_group(host, build):
+    vids = build.attribute_vector.tolist()
+    return host.ecall(
+        "aggregate_groups",
+        "t1",
+        [("COUNT", None, "n")],
+        [{"group": (build.dictionary, vids), "rows": len(vids), "measures": {}}],
+        group_column="c1",
+    )
+
+
+@pytest.mark.parametrize("bulk", ["join", "aggregate"])
+def test_bulk_ecalls_after_a_scan_decrypt_nothing(bulk):
+    host, master_key, pae, rng = _provisioned_host(FastPathConfig())
+    build = _build(master_key, pae, rng, SHARED_VALUES, ED1)
+    assert len(build.dictionary) == 3
+    _full_scan(host, master_key, pae, build)
+    before = host.cost_model.snapshot()
+    if bulk == "join":
+        host.ecall("join_tokens", build.dictionary, b"s" * 16)
+    else:
+        _count_by_group(host, build)
+    assert host.cost_model.diff(before)["decryptions"] == 0
+
+
+@pytest.mark.parametrize("cache_bytes", CACHE_SIZES)
+def test_cold_bulk_ecalls_decrypt_once_per_distinct_entry(cache_bytes):
+    """Cold, a join or an aggregate opens each distinct entry exactly once,
+    at every cache size; with a cache, whichever runs second — and a scan
+    after both — finds them all resident."""
+    host, master_key, pae, rng = _provisioned_host(
+        FastPathConfig(dictionary_cache_bytes=cache_bytes)
+    )
+    build = _build(master_key, pae, rng, SHARED_VALUES, ED1)
+    entries = len(build.dictionary)
+
+    before = host.cost_model.snapshot()
+    host.ecall("join_tokens", build.dictionary, b"s" * 16)
+    assert host.cost_model.diff(before)["decryptions"] == entries
+
+    before = host.cost_model.snapshot()
+    _count_by_group(host, build)
+    _full_scan(host, master_key, pae, build)
+    warm = host.cost_model.diff(before)["decryptions"]
+    if cache_bytes:
+        assert warm == 2  # only the scan's two τ bounds
+    else:
+        # No cache: the aggregate re-opens every entry, the scan every probe.
+        assert warm == entries + 2 + 4
+
+
+def test_bare_enclave_holds_no_plaintext():
+    """A bare ``EncDBDBEnclave()`` is the paper's: no cache, no EPC use."""
     host, master_key, pae, rng = _provisioned_host()  # fastpath=None
     assert host._enclave.entry_cache is None
     assert host._enclave.fastpath_stats() is None
@@ -279,3 +371,20 @@ def test_default_enclave_keeps_slow_path():
     host.ecall("dict_search", build.dictionary, tau)
     host.ecall("dict_search", build.dictionary, tau)
     assert host._enclave.epc.allocated_pages == 0
+
+
+def test_zero_budget_is_the_constant_memory_enclave():
+    """An explicit 0 builds no cache object and reserves no EPC: an ED3
+    query decrypts every entry every time, and nothing stays resident."""
+    host, master_key, pae, rng = _provisioned_host(
+        FastPathConfig(dictionary_cache_bytes=0)
+    )
+    build = _build(master_key, pae, rng, VALUES, ED3)
+    tau = _tau(master_key, pae, build.dictionary.value_type, "a", "e")
+    for _ in range(2):
+        before = host.cost_model.snapshot()
+        host.ecall("dict_search", build.dictionary, tau)
+        assert host.cost_model.diff(before)["decryptions"] == len(build.dictionary) + 2
+    assert host._enclave.epc.allocated_pages == 0
+    assert host._enclave.fastpath_stats() is None
+    assert host._enclave.fastpath_partition_usage() is None

@@ -18,6 +18,7 @@ from repro.encdict.attrvect import attr_vect_search
 from repro.encdict.options import ED3, ED5, ED8, OrderOption
 from repro.encdict.search import (
     _SEARCHERS,
+    PACKED_SENTINEL,
     DictionaryAccessor,
     DictionarySearcher,
     OrdinalRange,
@@ -138,20 +139,25 @@ def test_rotated_duplicate_wrap_corner_case(kind_wrap):
 
 
 def test_searcher_flag_selects_identical_results(kind):
-    """End-to-end through DictionarySearcher: vectorized=True and the scalar
-    reference return identical SearchResults for every kind and range."""
+    """End-to-end through DictionarySearcher: what selects the packed
+    kernels is having a cache to keep the array in. A cached searcher and
+    the cache-less scalar reference return identical SearchResults for
+    every kind and range, and only the cached one ever attaches an array."""
     values = VALUE_SETS["duplicate-heavy"]
     harness = EdHarness(seed=b"searcher-flag")
     build = harness.build(values, kind)
     cache = EnclaveLruCache(budget_bytes=1 << 20)
-    fast = DictionarySearcher(harness.pae, CostModel(), cache, vectorized=True)
-    slow = DictionarySearcher(harness.pae, CostModel(), vectorized=False)
+    fast = DictionarySearcher(harness.pae, CostModel(), cache)
+    slow = DictionarySearcher(harness.pae, CostModel())
     for low, high in QUERIES:
         search = _ordinal_range(build, low, high)
         for _ in range(2):  # cold then warm cache
             got = fast.search(build.dictionary, search, key=harness.key)
             want = slow.search(build.dictionary, search, key=harness.key)
             assert got.ranges == want.ranges and got.vids == want.vids
+    packed_resident = any(PACKED_SENTINEL in key for key in cache._entries)
+    assert packed_resident == (kind.order is OrderOption.UNSORTED)
+    assert slow.accessor(build.dictionary, key=harness.key).packed is None
 
 
 def test_packed_cache_key_isolates_dictionaries():

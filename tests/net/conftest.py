@@ -18,9 +18,9 @@ def net_server():
 
 @pytest.fixture
 def accounting_server():
-    """A server with the fast path disabled: enclave counters are exactly
-    the paper's sequential cost model, so concurrency tests can assert
-    additivity without cache-eviction noise."""
-    dbms = EncDBDBServer(fastpath=FastPathConfig.disabled())
+    """A server whose enclave keeps nothing resident (budget 0): every
+    query decrypts every probe, so enclave counters are additive and
+    concurrency tests can assert that without cache-hit noise."""
+    dbms = EncDBDBServer(fastpath=FastPathConfig(dictionary_cache_bytes=0))
     with ServerThread(NetServer(dbms, max_sessions=16)) as handle:
         yield handle

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 
-from repro.columnstore.catalog import Catalog
 from repro.encdict.enclave_app import EncDBDBEnclave
 from repro.exceptions import EnclaveMemoryError
 from repro.sgx.cache import EnclaveLruCache, FastPathConfig
@@ -109,29 +109,30 @@ def test_nonpositive_budget_rejected():
         EnclaveLruCache(budget_bytes=0)
 
 
-def test_fastpath_config_master_flag_gates_every_layer():
-    """Two profiles, two settable fields: ``enabled`` alone decides every
-    layer (entry cache, key cache, batching, kernels, mask reuse); the other
-    field only sizes the fast profile's entry cache."""
+def test_fastpath_config_is_one_sizing_value():
+    """One settable field: the entry-cache budget. A positive budget is a
+    cache of exactly that size, 0 is no cache object at all, and a negative
+    budget is rejected where it is written, not deep inside a constructor."""
     assert [f.name for f in dataclasses.fields(FastPathConfig)] == [
-        "enabled",
-        "dictionary_cache_bytes",
+        "dictionary_cache_bytes"
     ]
-    fast = FastPathConfig(dictionary_cache_bytes=4096)
-    paper = FastPathConfig.disabled()
-    assert fast.enabled and not paper.enabled
-    assert FastPathConfig().enabled
+    sized = EncDBDBEnclave(fastpath=FastPathConfig(dictionary_cache_bytes=4096))
+    assert sized.entry_cache.budget_bytes == 4096
+    assert sized.epc.allocated_pages == 1
 
-    fast_enclave = EncDBDBEnclave(fastpath=fast)
-    assert fast_enclave.entry_cache.budget_bytes == 4096
-    assert fast_enclave._searcher._vectorized
-    paper_enclave = EncDBDBEnclave(fastpath=paper)
-    assert paper_enclave.entry_cache is None
-    assert not paper_enclave._searcher._vectorized
+    paper = EncDBDBEnclave(fastpath=FastPathConfig(dictionary_cache_bytes=0))
+    assert paper.entry_cache is None
+    assert paper.epc.allocated_pages == 0
 
-    # A bare Executor runs the paper profile; a server hands its own down.
-    assert not Executor(Catalog(), None).fastpath.enabled
-    assert Executor(Catalog(), None, fastpath=fast).fastpath is fast
+    with pytest.raises(EnclaveMemoryError):
+        FastPathConfig(dictionary_cache_bytes=-1)
+
+    # The executor takes no search-path configuration at all.
+    assert list(inspect.signature(Executor.__init__).parameters) == [
+        "self",
+        "catalog",
+        "enclave_host",
+    ]
 
 
 def test_invalidate_prefix_evicts_one_partition():

@@ -65,9 +65,9 @@ def test_in_single_member_is_equality(system):
 def test_in_each_member_is_a_separate_encrypted_range(system):
     """Query-type hiding: each IN member becomes its own encrypted range.
 
-    With the (default-on) fast path the three dictionary searches still
-    happen — the enclave just serves them through a single batched boundary
-    crossing.
+    The three dictionary searches still happen — the enclave serves them
+    through a single batched boundary crossing (at every cache size, see
+    ``test_search_path.py``).
     """
     cost = system.server.cost_model
     before_ecalls = cost.ecalls
@@ -76,26 +76,6 @@ def test_in_each_member_is_a_separate_encrypted_range(system):
     # 3 members -> 3 dictionary searches on column n, one batch ecall.
     assert cost.ecalls - before_ecalls == 1
     assert cost.ecalls_by_name.get("dict_search_batch", 0) - before_batches == 1
-
-
-def test_in_members_are_separate_ecalls_without_fastpath():
-    """The paper-faithful baseline: one dict_search ecall per IN member."""
-    from repro.sgx.cache import FastPathConfig
-
-    system = EncDBDBSystem.create(seed=55, fastpath=FastPathConfig.disabled())
-    system.execute(
-        "CREATE TABLE t (sku ED2 VARCHAR(12), region VARCHAR(6), n ED1 INTEGER)"
-    )
-    system.execute(
-        "INSERT INTO t VALUES "
-        + ", ".join(f"('{s}', '{r}', {n})" for s, r, n in ROWS)
-    )
-    cost = system.server.cost_model
-    before_ecalls = cost.ecalls
-    system.query("SELECT sku FROM t WHERE n IN (1, 2, 3)")
-    # 3 members -> 3 dictionary searches on column n (delta store only here).
-    assert cost.ecalls - before_ecalls == 3
-    assert "dict_search_batch" not in cost.ecalls_by_name
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,9 @@ def test_benchmark_name_bindings_resolve(module_name, attribute):
 
 def test_benchmark_reads_resolve_on_live_objects():
     """The attributes the benchmark reads off instances, not classes."""
+    import dataclasses
+
+    from repro import EncDBDBSystem
     from repro.bench.stats import BenchStats
     from repro.runtime import dispatch_stats
     from repro.server.dbms import EncDBDBServer
@@ -135,6 +138,17 @@ def test_benchmark_reads_resolve_on_live_objects():
     assert {"cores", "workers", "dispatch"} <= set(BenchStats.capture().to_dict())
     server = EncDBDBServer(fastpath=FastPathConfig(dictionary_cache_bytes=1 << 20))
     assert "peak_bytes" in server._enclave.fastpath_stats()
+    # The harness builds systems with FastPathConfig(dictionary_cache_bytes=n)
+    # or fastpath=None, and reads the cache counters at the default size.
+    assert [f.name for f in dataclasses.fields(FastPathConfig)] == [
+        "dictionary_cache_bytes"
+    ]
+    sized = EncDBDBSystem.create(
+        seed=3, fastpath=FastPathConfig(dictionary_cache_bytes=2 << 20)
+    )
+    assert sized.server._enclave.entry_cache.budget_bytes == 2 << 20
+    default = EncDBDBSystem.create(seed=3, fastpath=None)
+    assert "peak_bytes" in default.server._enclave.fastpath_stats()
     assert server.executor.last_merge_stats is None
     for kind, log in dispatch_stats().items():
         assert {"serial", "parallel"} <= set(log), kind
