@@ -1,22 +1,14 @@
-"""Parallel, batched, streaming build pipeline (PR 4).
+"""Encrypted-dictionary build time by kind (the Table 6 build-time shape).
 
-Measures the EncDBDB bulk-load path and emits machine-readable
-``results/BENCH_build.json`` (uploaded by the ``build-bench`` CI job):
+Measures per-kind single-column build times for ED1/ED3/ED7/ED9 and emits
+machine-readable ``results/BENCH_build.json`` (uploaded by the
+``build-bench`` CI job): the repetition-hiding kinds pad every value's
+frequency up to a block bound, so their dictionaries are strictly larger
+and their builds strictly slower than the repetition-revealing kinds over
+the same data.
 
-1. **Table 6 build-time shape.** Per-kind single-column build times for
-   ED1/ED3/ED7/ED9: the repetition-hiding kinds pad every value's
-   frequency up to a block bound, so their dictionaries are strictly
-   larger and their builds strictly slower than the repetition-revealing
-   kinds over the same data.
-
-2. **Inline vs. thread-pool load.** A >=1M-row, 4-column
-   (ED1+ED3+ED7+ED9) bulk load built inline (``max_workers=1``) and on the
-   build thread pool. The artifacts must be byte-for-byte identical
-   (per-partition child DRBGs make worker scheduling invisible); both
-   wall-clock times are recorded, neither is gated.
-
-Scale knob: ``ENCDBDB_BUILD_BENCH_ROWS`` (default 1,048,576 — the
-acceptance floor; shrink locally for quick runs).
+Scale knob: ``ENCDBDB_BUILD_BENCH_ROWS`` (default 131,072; shrink locally
+for quick runs).
 """
 
 from __future__ import annotations
@@ -29,7 +21,6 @@ import numpy as np
 import pytest
 
 from conftest import RESULTS_DIR, write_result
-from repro import EncDBDBSystem
 from repro.bench import BenchStats
 from repro.bench.report import format_table
 from repro.columnstore.types import parse_type
@@ -37,19 +28,12 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.pae import default_pae
 from repro.encdict.builder import encdb_build_partitioned
 from repro.encdict.options import kind_by_name
-from repro.encdict.pipeline import shutdown_build_pools
-from repro.runtime import detected_cores
 
-BUILD_ROWS = int(os.environ.get("ENCDBDB_BUILD_BENCH_ROWS", 1 << 20))
+KIND_ROWS = int(os.environ.get("ENCDBDB_BUILD_BENCH_ROWS", 1 << 17))
 BUILD_PARTITIONS = 8
-BUILD_PARTITION_ROWS = max(1, BUILD_ROWS // BUILD_PARTITIONS)
-BUILD_WORKERS = 4
 BSMAX = 4
 DISTINCT = 1024
 KINDS = ("ED1", "ED3", "ED7", "ED9")
-#: Per-kind shape section runs on a slice: the shape (hiding >> revealing)
-#: is scale-free and the full-size builds are already timed by the load.
-KIND_ROWS = max(1, BUILD_ROWS // 8)
 
 
 def _column_values(seed: int, rows: int) -> list[int]:
@@ -86,59 +70,6 @@ def kind_runs():
     return runs
 
 
-def _deploy(max_workers: int, columns) -> tuple[float, EncDBDBSystem]:
-    system = EncDBDBSystem.create(seed=2026)
-    specs = ", ".join(f"c{i} {kind} INTEGER" for i, kind in enumerate(KINDS, 1))
-    system.execute(f"CREATE TABLE bench ({specs})")
-    start = time.perf_counter()
-    system.bulk_load(
-        "bench",
-        columns,
-        partition_rows=BUILD_PARTITION_ROWS,
-        max_workers=max_workers,
-    )
-    return time.perf_counter() - start, system
-
-
-@pytest.fixture(scope="module")
-def load_runs(tmp_path_factory):
-    """Inline vs. thread-pool bulk load of the 4-column table, plus the
-    byte-level comparison of the resulting storage files."""
-    columns = {
-        f"c{i}": _column_values(100 + i, BUILD_ROWS)
-        for i in range(1, len(KINDS) + 1)
-    }
-    # Best of two interleaved rounds: a single full-load measurement carries
-    # several percent of wall-clock noise.
-    serial_s = parallel_s = float("inf")
-    for _ in range(2):
-        elapsed, serial_system = _deploy(1, columns)
-        serial_s = min(serial_s, elapsed)
-        elapsed, parallel_system = _deploy(BUILD_WORKERS, columns)
-        parallel_s = min(parallel_s, elapsed)
-    shutdown_build_pools()
-
-    tmp = tmp_path_factory.mktemp("build-bench")
-    serial_system.save(tmp / "serial.encdbdb")
-    parallel_system.save(tmp / "parallel.encdbdb")
-    byte_identical = (
-        (tmp / "serial.encdbdb").read_bytes()
-        == (tmp / "parallel.encdbdb").read_bytes()
-    )
-    return {
-        "rows": BUILD_ROWS,
-        "columns": len(KINDS),
-        "kinds": list(KINDS),
-        "partitions": BUILD_PARTITIONS,
-        "workers": BUILD_WORKERS,
-        "cores": detected_cores(),
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s,
-        "byte_identical": byte_identical,
-    }
-
-
 def test_build_time_shape_matches_table6(kind_runs):
     # Repetition hiding pads frequencies: more entries, more encryptions,
     # more time than the repetition-revealing kind with the same order.
@@ -154,13 +85,7 @@ def test_build_time_shape_matches_table6(kind_runs):
         assert kind_runs[hiding]["build_s"] > kind_runs[revealing]["build_s"]
 
 
-def test_parallel_load_is_byte_identical_to_serial(load_runs):
-    """The determinism acceptance criterion: worker count and scheduling
-    must be invisible in the artifacts, on every machine."""
-    assert load_runs["byte_identical"]
-
-
-def test_report_build_bench(kind_runs, load_runs):
+def test_report_build_bench(kind_runs):
     rows = [
         (
             kind,
@@ -177,19 +102,10 @@ def test_report_build_bench(kind_runs, load_runs):
         ["kind", "rows", "dict entries", "encrypts", "build ms"],
         rows,
     )
-    text += (
-        f"\nBulk load ({BUILD_ROWS:,} rows x {len(KINDS)} columns, "
-        f"{BUILD_PARTITIONS} partitions, {BUILD_WORKERS} workers requested, "
-        f"{load_runs['cores']} cores): inline {load_runs['serial_s']:.2f} s, "
-        f"thread pool {load_runs['parallel_s']:.2f} s, speedup "
-        f"{load_runs['speedup']:.2f}x, byte-identical "
-        f"{load_runs['byte_identical']}.\n"
-    )
     write_result("build_pipeline", text)
 
     payload = {
         "kinds": kind_runs,
-        "load": load_runs,
         "bench_stats": BenchStats.capture().to_dict(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -1,12 +1,11 @@
-"""Host and dispatch context captured alongside benchmark numbers (PR 6).
+"""Host context captured alongside benchmark numbers (PR 6).
 
-A speedup ratio without the host it was measured on is unreadable: a
-0.82x "parallel speedup" only makes sense next to ``cores: 1``.
+A timing without the host it was measured on is unreadable.
 :class:`BenchStats` bundles the facts every ``BENCH_*.json`` payload
-should carry — detected cores, the configured build worker count, and the
-per-kind serial/parallel decisions the runtime actually made during the
-run — so regression guards can be conditioned on the host instead of
-skipped.
+carries: detected cores, plus the ``workers`` and ``dispatch`` fields whose
+values are fixed (``1`` and ``{}``) now that builds and scans run in the
+thread that calls them — the shape stays because ``benchmarks/e2e/run.py``
+prints it (see :mod:`repro.runtime`).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ __all__ = ["BenchStats"]
 
 @dataclass(frozen=True)
 class BenchStats:
-    """A snapshot of the runtime's execution-strategy state."""
+    """A snapshot of the host facts a benchmark ran under."""
 
     cores: int
     workers: int
@@ -28,7 +27,7 @@ class BenchStats:
 
     @classmethod
     def capture(cls) -> "BenchStats":
-        """Snapshot the current host facts and dispatch log."""
+        """Snapshot the current host facts."""
         return cls(
             cores=detected_cores(),
             workers=configured_workers(),

@@ -15,12 +15,8 @@ from repro.columnstore.types import ColumnSpec
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import derive_column_key
 from repro.crypto.pae import Pae, default_pae, pae_gen
-from repro.encdict.builder import (
-    BuildResult,
-    encdb_build,
-    encdb_build_partitioned,
-)
-from repro.encdict.pipeline import BuildPipeline, ColumnPlan
+from repro.encdict.builder import BuildResult, encdb_build
+from repro.encdict.pipeline import ColumnPlan, build_partitions
 from repro.exceptions import CatalogError
 from repro.sgx.channel import SecureChannel
 
@@ -80,34 +76,11 @@ class DataOwner:
         return derive_column_key(self.master_key, table_name, column_name)
 
     def encrypt_column(
-        self,
-        table_name: str,
-        spec: ColumnSpec,
-        values: Sequence,
-        *,
-        partition_rows: int | None = None,
-    ) -> BuildResult | list[BuildResult]:
-        """Run ``EncDB`` for one column according to its selected kind.
-
-        With ``partition_rows`` the column is built as a list of independent
-        per-partition dictionaries (fixed-row-count chunks in row order);
-        without it the historical single build is returned.
-        """
+        self, table_name: str, spec: ColumnSpec, values: Sequence
+    ) -> BuildResult:
+        """Run ``EncDB`` for one whole column according to its selected kind."""
         if not spec.is_encrypted:
             raise CatalogError(f"column {spec.name!r} is not encrypted")
-        if partition_rows is not None:
-            return encdb_build_partitioned(
-                list(values),
-                spec.protection,
-                partition_rows=partition_rows,
-                value_type=spec.value_type,
-                key=self.column_key(table_name, spec.name),
-                pae=self.pae,
-                rng=self._rng.fork(f"encdb-{table_name}-{spec.name}"),
-                bsmax=spec.bsmax,
-                table_name=table_name,
-                column_name=spec.name,
-            )
         return encdb_build(
             list(values),
             spec.protection,
@@ -126,8 +99,7 @@ class DataOwner:
         """The per-column :class:`ColumnPlan`\\ s of one table deployment.
 
         Column DRBGs are forked in spec order — the same fork sequence the
-        serial :meth:`encrypt_column` loop performs — so a pipelined build
-        consumes exactly the randomness of a serial one.
+        :meth:`encrypt_column` loop of an unpartitioned deploy performs.
         """
         table = server.catalog.table(table_name)
         plans: dict[str, ColumnPlan] = {}
@@ -152,45 +124,32 @@ class DataOwner:
         columns: dict[str, list],
         *,
         partition_rows: int | None = None,
-        max_workers: int | None = None,
     ) -> int:
         """Step 4: split/encrypt every column and bulk-import the table.
 
         ``partition_rows`` selects a partitioned layout: every column is
-        built as fixed-row-count per-partition dictionaries — by the
-        streaming build pipeline, whose (column × partition) tasks run on
-        up to ``max_workers`` threads (artifacts are byte-identical for any
-        worker count). Column sources may then be any row-order iterables,
-        including generators. Against an in-process server the partitions
-        stream into the column store as they complete, so peak transient
-        memory is O(partition); a remote
-        server (one ``bulk_load`` payload on the wire) gets the collected
-        builds. Without ``partition_rows`` the historical single-dictionary
-        build is used. Either way the layout is the owner's choice; the
-        server only ever sees finished builds.
+        built as fixed-row-count per-partition dictionaries by the streaming
+        build, in this thread, and the partition stream is handed to the
+        server's ``bulk_load_stream``. Column sources may then be any
+        row-order iterables, including generators. An in-process server
+        installs each partition as it completes, so peak transient memory is
+        O(partition); a remote server's stub collects the stream into the one
+        ``bulk_load`` payload the wire ships, a cluster router one payload
+        per shard span. Without ``partition_rows`` the historical
+        single-dictionary build is used. Either way the layout is the
+        owner's choice; the server only ever sees finished builds.
         """
         if partition_rows is not None:
-            pipeline = BuildPipeline(pae=self.pae, max_workers=max_workers)
             plans = self.build_plans(server, table_name, columns)
-            load_stream = getattr(server, "bulk_load_stream", None)
-            if load_stream is not None:
-                return load_stream(
-                    table_name,
-                    pipeline.build_stream(
-                        table_name, plans, partition_rows=partition_rows
-                    ),
-                )
-            encrypted_builds, plain_columns = pipeline.build_columns(
-                table_name, plans, partition_rows=partition_rows
-            )
-            return server.bulk_load(
+            return server.bulk_load_stream(
                 table_name,
-                plain_columns=plain_columns,
-                encrypted_builds=encrypted_builds,
+                build_partitions(
+                    table_name, plans, partition_rows=partition_rows, pae=self.pae
+                ),
             )
         table = server.catalog.table(table_name)
         plain_columns = {}
-        encrypted_builds: dict[str, BuildResult | list[BuildResult]] = {}
+        encrypted_builds: dict[str, BuildResult] = {}
         for spec in table.specs:
             if spec.name not in columns:
                 raise CatalogError(f"no data provided for column {spec.name!r}")

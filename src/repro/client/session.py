@@ -96,21 +96,15 @@ class EncDBDBSystem:
         columns: dict[str, list],
         *,
         partition_rows: int | None = None,
-        max_workers: int | None = None,
     ) -> int:
         """Data-owner bulk import: EncDB locally, deploy ciphertext only.
 
         ``partition_rows`` selects a partitioned main-store layout (one
         independent encrypted dictionary per fixed-row-count chunk), built
-        by the owner's streaming pipeline on up to ``max_workers`` threads
-        — artifacts are byte-identical for any worker count.
+        one partition at a time by the owner's streaming build.
         """
         return self.owner.deploy_table(
-            self.server,
-            table_name,
-            columns,
-            partition_rows=partition_rows,
-            max_workers=max_workers,
+            self.server, table_name, columns, partition_rows=partition_rows
         )
 
     def merge(self, table_name: str) -> int:

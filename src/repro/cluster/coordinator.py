@@ -95,7 +95,6 @@ class ClusterCoordinator:
         columns: dict[str, list],
         *,
         partition_rows: int,
-        max_workers: int | None = None,
     ) -> TableAssignment:
         """Assign spans, then stream the table out through the router.
 
@@ -111,14 +110,14 @@ class ClusterCoordinator:
                 f"columns of {table_name!r} have inconsistent lengths"
             )
         (total_rows,) = row_counts
+        if total_rows == 0:
+            # An empty load is a no-op on every transport: nothing to place,
+            # and the table stays unassigned (its inserts live on shard 0).
+            return TableAssignment(table_name, partition_rows, 0, ())
         assignment = self.shard_map.assign(table_name, total_rows, partition_rows)
         try:
             self.owner.deploy_table(
-                self.router,
-                table_name,
-                sized,
-                partition_rows=partition_rows,
-                max_workers=max_workers,
+                self.router, table_name, sized, partition_rows=partition_rows
             )
         except BaseException:
             self.shard_map.drop(table_name)
@@ -242,11 +241,7 @@ class ClusterSystem(EncDBDBSystem):
         columns: dict[str, list],
         *,
         partition_rows: int,
-        max_workers: int | None = None,
     ) -> TableAssignment:
         return self.coordinator.deploy_table(
-            table_name,
-            columns,
-            partition_rows=partition_rows,
-            max_workers=max_workers,
+            table_name, columns, partition_rows=partition_rows
         )

@@ -8,9 +8,9 @@ sees what a single untrusted server would see anyway: encrypted plans in,
 padded per-partition result unions out.
 
 - **Scatter.** A SELECT on a sharded table fans the *same* encrypted plan
-  out to one healthy endpoint of every populated shard, concurrently on a
-  shared worker pool. Each shard runs the ordinary ``EnclDictSearch`` over
-  its resident partitions.
+  out to one healthy endpoint of every populated shard, concurrently on
+  the router's own executor. Each shard runs the ordinary
+  ``EnclDictSearch`` over its resident partitions.
 - **Gather.** Per-shard results are concatenated in shard order — which is
   global partition order by construction (contiguous spans) — and shard-
   local RecordIDs are rebased by the span's ``row_base``. The merged result
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -41,6 +42,7 @@ from repro.net.client import (
     RemoteServer,
     RetryPolicy,
     VerbClient,
+    collect_partition,
     install_verbs,
 )
 from repro.net.verbs import (
@@ -52,7 +54,6 @@ from repro.net.verbs import (
     TAIL_BROADCAST,
     VERBS,
 )
-from repro.runtime import CLUSTER_POOL, shared_pool
 from repro.sql.result import (
     AggregateFrames,
     PushdownSelectResult,
@@ -61,6 +62,9 @@ from repro.sql.result import (
     ServerResult,
 )
 
+
+#: Name prefix of a router's scatter threads (none outlive ``close()``).
+SCATTER_THREAD_PREFIX = "cluster-scatter"
 
 #: Which answers a :meth:`ShardGroup.fan_out` caller requires of a shard's
 #: replicas (see that method).
@@ -398,7 +402,6 @@ class ClusterRouter(VerbClient):
         timeout: float = 60.0,
         retry: RetryPolicy | None = None,
         tap: FrameTap | None = None,
-        scatter_workers: int | None = None,
         probe_interval: float = 2.0,
     ) -> None:
         super().__init__()
@@ -421,10 +424,12 @@ class ClusterRouter(VerbClient):
             )
             for shard in shard_map.shards
         ]
-        self._scatter_workers = (
-            scatter_workers
-            if scatter_workers is not None
-            else max(2, 2 * shard_map.shard_count)
+        # The one executor of the cluster layer: per-shard calls of a
+        # multi-shard scatter overlap on it (they wait on sockets). It spawns
+        # its threads on first use, so a single-shard router never has any.
+        self._scatter_pool = ThreadPoolExecutor(
+            max_workers=max(2, 2 * shard_map.shard_count),
+            thread_name_prefix=SCATTER_THREAD_PREFIX,
         )
 
     # ------------------------------------------------------------------
@@ -451,10 +456,7 @@ class ClusterRouter(VerbClient):
         """Run the per-shard thunks concurrently; propagate the first error."""
         if len(thunks) == 1:
             return [thunks[0]()]
-        pool = shared_pool(
-            CLUSTER_POOL, self._scatter_workers, thread_name_prefix="cluster"
-        )
-        futures = [pool.submit(thunk) for thunk in thunks]
+        futures = [self._scatter_pool.submit(thunk) for thunk in thunks]
         try:
             return [future.result() for future in futures]
         finally:
@@ -721,10 +723,7 @@ class ClusterRouter(VerbClient):
                     f"table {table_name!r}: more partitions streamed than "
                     "assigned"
                 )
-            for name, build in partition.builds.items():
-                builds.setdefault(name, []).append(build)
-            for name, values in partition.plain_values.items():
-                plains.setdefault(name, []).extend(values)
+            collect_partition(partition, plains, builds)
             next_partition += 1
             if next_partition == spans[span_index].partition_hi:
                 total_rows += self.groups[spans[span_index].shard_id].broadcast(
@@ -777,6 +776,7 @@ class ClusterRouter(VerbClient):
         return cluster_routing_lines(plan, self.shard_map)
 
     def close(self) -> None:
+        self._scatter_pool.shutdown(wait=True)
         for group in self.groups:
             group.close()
 

@@ -63,11 +63,11 @@ class Pae(ABC):
     Instances are stateless with respect to keys: the key is passed to each
     call, matching the paper where the enclave derives ``SKD`` per query.
 
-    The operation counters are lock-protected so concurrent build and scan
-    workers can share one backend without losing counts; the internal IV
-    generator is likewise guarded, but deterministic callers (the parallel
-    build pipeline) should pass an explicit per-task ``rng`` instead so the
-    IV stream does not depend on thread scheduling.
+    The operation counters are lock-protected so concurrent sessions can
+    share one backend without losing counts; the internal IV generator is
+    likewise guarded, but deterministic callers (the partitioned build)
+    should pass an explicit ``rng`` instead so the IV stream does not depend
+    on thread scheduling.
     """
 
     #: Human-readable backend name, used in benchmark reports.
@@ -80,8 +80,8 @@ class Pae(ABC):
         self.decrypt_count = 0  # guarded-by: self._counter_lock
 
     def add_operation_counts(self, encrypts: int = 0, decrypts: int = 0) -> None:
-        """Fold operation counts performed elsewhere (e.g. a build worker
-        process) into this backend's counters, atomically."""
+        """Add to this backend's operation counters, atomically (one backend
+        may serve several threads)."""
         with self._counter_lock:
             self.encrypt_count += encrypts
             self.decrypt_count += decrypts
@@ -103,8 +103,8 @@ class Pae(ABC):
         """``PAE_Enc``: encrypt under a fresh random IV; returns IV||ct||tag.
 
         ``rng`` overrides the backend's internal IV generator for this call —
-        the parallel build pipeline passes a per-(column, partition) DRBG so
-        ciphertexts do not depend on which worker encrypts first.
+        a partitioned build passes a per-(column, partition) DRBG so
+        ciphertexts do not depend on the order partitions are built in.
         """
         if len(key) != PAE_KEY_BYTES:
             raise CryptoError(f"PAE key must be {PAE_KEY_BYTES} bytes")

@@ -22,8 +22,9 @@ baseline of the paper's evaluation (§6.3).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -83,8 +84,9 @@ def encdb_build(
     ``iv_rng`` is a dedicated DRBG for the PAE IVs of this build. Without it
     IVs come from the backend's internal generator (the historical single-
     build behaviour); with it the build touches no shared mutable state, so
-    builds of different (column, partition) tasks can run on any worker in
-    any order and still produce bit-for-bit the ciphertexts of a serial run.
+    the partitions of a column can be built in any order (a rotation rebuilds
+    them one by one) and still produce bit-for-bit the ciphertexts of the
+    serial loop.
     """
     if len(values) == 0:
         raise CatalogError("cannot build a dictionary for an empty column")
@@ -136,24 +138,25 @@ def encdb_build(
     return BuildResult(dictionary, attribute_vector, stats)
 
 
-def derive_partition_rngs(
-    rng: HmacDrbg, count: int
-) -> list[tuple[HmacDrbg, HmacDrbg]]:
-    """Pre-derive the per-partition ``(build_rng, iv_rng)`` DRBG pairs.
+def partition_rng_stream(rng: HmacDrbg) -> Iterator[tuple[HmacDrbg, HmacDrbg]]:
+    """The per-partition ``(build_rng, iv_rng)`` DRBG pairs, in partition order.
 
-    The children are forked from the column's DRBG **in partition order,
-    before any build starts** — the HMAC-DRBG fork is the derivation step
-    (the same keyed-HMAC construction the KDF uses), so each child stream is
-    a pure function of (column seed, partition index). After this point a
-    partition build touches no shared randomness: the serial loop and the
-    parallel pipeline consume identical streams, which is what makes their
-    artifacts bit-for-bit identical.
+    The one fork discipline of a partitioned build: child *i* is forked from
+    the column's DRBG as ``part-i`` and its IV generator from that child —
+    the HMAC-DRBG fork is the derivation step (the same keyed-HMAC
+    construction the KDF uses), so each child stream is a pure function of
+    (column seed, partition index) and a partition build touches no shared
+    randomness. Lazy, so a streamed source whose partition count is not
+    known up front draws exactly the pairs the serial loop would.
     """
-    pairs = []
-    for index in range(count):
+    for index in itertools.count():
         build_rng = rng.fork(f"part-{index}")
-        pairs.append((build_rng, build_rng.fork("pae-iv")))
-    return pairs
+        yield build_rng, build_rng.fork("pae-iv")
+
+
+def derive_partition_rngs(rng: HmacDrbg, count: int) -> list[tuple[HmacDrbg, HmacDrbg]]:
+    """The first ``count`` pairs of :func:`partition_rng_stream`."""
+    return list(itertools.islice(partition_rng_stream(rng), count))
 
 
 def encdb_build_partitioned(
@@ -174,10 +177,10 @@ def encdb_build_partitioned(
     chunk of ``partition_rows`` consecutive rows.
 
     Each partition gets its own dictionary (its own IV stream, rotation
-    offset and shuffle from DRBGs pre-derived by
-    :func:`derive_partition_rngs`), so partitions are independently
-    searchable, independently rebuildable at merge time — and independently
-    *buildable*: this serial loop is the reference the parallel pipeline
+    offset and shuffle from the DRBG pairs of
+    :func:`partition_rng_stream`), so partitions are independently
+    searchable and independently rebuildable at merge time. This loop over
+    a materialized column is the reference the streamed build
     (:mod:`repro.encdict.pipeline`) must reproduce byte-for-byte. Row order
     is preserved: concatenating the partitions' rows reproduces ``values``
     exactly, which keeps global RecordIDs identical to an unpartitioned

@@ -251,6 +251,14 @@ def _sanitize_builds(build):
     return _sanitize_build(build)
 
 
+def collect_partition(partition, plain_columns: dict, encrypted_builds: dict) -> None:
+    """Fold one streamed partition into a ``bulk_load`` payload being built."""
+    for name, build in partition.builds.items():
+        encrypted_builds.setdefault(name, []).append(build)
+    for name, values in partition.plain_values.items():
+        plain_columns.setdefault(name, []).extend(values)
+
+
 class SchemaTable:
     """Schema-only table view (mirrors ``catalog.table(name).specs``)."""
 
@@ -434,6 +442,22 @@ class RemoteServer(VerbClient):
                 name: _sanitize_builds(build)
                 for name, build in (encrypted_builds or {}).items()
             },
+        )
+
+    def bulk_load_stream(self, table_name: str, partitions) -> int:
+        """Collect the owner's partition stream into the one ``bulk_load``
+        payload the wire ships. Columns are seeded from the schema, so a
+        stream of no partitions travels as an empty load of every column."""
+        plain_columns: dict[str, list] = {}
+        encrypted_builds: dict[str, list[BuildResult]] = {}
+        for spec in self.table_specs(table_name):
+            (encrypted_builds if spec.is_encrypted else plain_columns)[spec.name] = []
+        for partition in partitions:
+            collect_partition(partition, plain_columns, encrypted_builds)
+        return self.bulk_load(
+            table_name,
+            plain_columns=plain_columns,
+            encrypted_builds=encrypted_builds,
         )
 
     def save(self, path) -> None:

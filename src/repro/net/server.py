@@ -140,9 +140,7 @@ class NetServer:
         # returns, ``self.sessions`` is empty and no task holds the
         # provision lock, so the same NetServer instance can be
         # ``start()``-ed again in-process without leaking sessions (the
-        # cluster tests restart shards exactly this way). A server owns no
-        # worker pool, so the process-wide ``repro.runtime`` registry — a
-        # co-located router's or data owner's — is left alone.
+        # cluster tests restart shards exactly this way).
         await self._drain_sessions()
 
     async def _drain_sessions(self) -> None:

@@ -17,7 +17,11 @@ import numpy as np
 
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.column import EncryptedStoredColumn, PlainStoredColumn
-from repro.columnstore.partition import slice_rows
+from repro.columnstore.partition import (
+    DEFAULT_PARTITION_ROWS,
+    partition_lengths,
+    slice_rows,
+)
 from repro.columnstore.storage import load_database, save_database
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.pae import Pae, default_pae
@@ -133,15 +137,20 @@ class EncDBDBServer:
     # ------------------------------------------------------------------
     def create_table(self, plan: CreatePlan) -> None:
         table = self.catalog.create_table(plan.table, plan.specs)
-        columns = {}
-        for spec in plan.specs:
+        table.attach_columns(self._empty_columns(table), 0)
+
+    @staticmethod
+    def _empty_columns(table) -> dict[str, PlainStoredColumn | EncryptedStoredColumn]:
+        """One fresh, empty stored column per spec of ``table``."""
+        columns: dict[str, PlainStoredColumn | EncryptedStoredColumn] = {}
+        for spec in table.specs:
             if spec.is_encrypted:
                 column = EncryptedStoredColumn(spec, None)
                 column.bind(table.name)
-                columns[spec.name] = column
             else:
-                columns[spec.name] = PlainStoredColumn(spec)
-        table.attach_columns(columns, 0)
+                column = PlainStoredColumn(spec)
+            columns[spec.name] = column
+        return columns
 
     def bulk_load(
         self,
@@ -152,72 +161,48 @@ class EncDBDBServer:
     ) -> int:
         """Import a prepared dataset (the data owner's ``EncDB`` output).
 
-        An encrypted column may arrive as one build (single partition) or a
-        list of per-partition builds. All columns of a table must share one
-        partition layout — the per-partition row counts of the encrypted
-        builds are the template, and plain columns are sliced to match so
-        global RecordIDs stay row-aligned across columns.
+        The collected form of a load — the one payload the wire ships. An
+        encrypted column may arrive as one build (single partition) or a
+        list of per-partition builds. All columns of a table share one
+        partition layout: the per-partition row counts of the encrypted
+        builds are the template (they cannot be re-chunked without the
+        enclave), and plain columns are sliced to match so global RecordIDs
+        stay row-aligned across columns. A table without encrypted columns
+        is cut into partitions of ``DEFAULT_PARTITION_ROWS``.
         """
-        table = self.catalog.table(table_name)
-        if table.row_count:
-            raise CatalogError(f"table {table_name!r} already holds data")
         plain_columns = plain_columns or {}
-        encrypted_builds = encrypted_builds or {}
         build_lists: dict[str, list[BuildResult]] = {
             name: list(build) if isinstance(build, (list, tuple)) else [build]
-            for name, build in encrypted_builds.items()
+            for name, build in (encrypted_builds or {}).items()
         }
-        provided = set(plain_columns) | set(build_lists)
-        if provided != set(table.column_names):
-            raise CatalogError(
-                f"bulk load must cover exactly the columns of {table_name!r}"
-            )
-        # One partition layout for the whole table, taken from the encrypted
-        # builds (they cannot be re-chunked without the enclave).
         layouts = {
-            name: [len(build.attribute_vector) for build in builds]
-            for name, builds in build_lists.items()
+            tuple(len(build.attribute_vector) for build in builds)
+            for builds in build_lists.values()
         }
-        if len({tuple(layout) for layout in layouts.values()}) > 1:
+        if len(layouts) > 1:
             raise CatalogError(
                 "encrypted columns have mismatched partition layouts"
             )
-        template = next(iter(layouts.values()), None)
-        lengths = {len(v) for v in plain_columns.values()} | {
-            sum(layout) for layout in layouts.values()
-        }
-        if len(lengths) != 1:
+        if layouts:
+            (layout,) = layouts
+        else:
+            rows = max(map(len, plain_columns.values()), default=0)
+            layout = partition_lengths(rows, DEFAULT_PARTITION_ROWS)
+        if any(len(values) != sum(layout) for values in plain_columns.values()):
             raise CatalogError("bulk-loaded columns have inconsistent lengths")
-        (row_count,) = lengths
-
-        columns = {}
-        for name, values in plain_columns.items():
-            spec = table.spec(name)
-            if spec.is_encrypted:
-                raise CatalogError(f"column {name!r} requires an encrypted build")
-            if template is not None:
-                column = PlainStoredColumn(spec)
-                column.set_partition_values(slice_rows(list(values), template))
-            else:
-                column = PlainStoredColumn(spec, values)
-            columns[name] = column
-        for name, builds in build_lists.items():
-            spec = table.spec(name)
-            if not spec.is_encrypted:
-                raise CatalogError(f"column {name!r} is not encrypted")
-            for build in builds:
-                if build.dictionary.kind != spec.protection:
-                    raise CatalogError(
-                        f"column {name!r} was built as "
-                        f"{build.dictionary.kind} but is declared {spec.protection}"
-                    )
-            column = EncryptedStoredColumn(spec, builds)
-            column.bind(table.name)
-            columns[name] = column
-        table.attach_columns(columns, row_count)
-        if template:
-            table.partition_rows = max(template)
-        return row_count
+        plain_parts = {
+            name: slice_rows(values, layout) for name, values in plain_columns.items()
+        }
+        return self._install_partitions(
+            table_name,
+            (
+                (
+                    {name: builds[index] for name, builds in build_lists.items()},
+                    {name: parts[index] for name, parts in plain_parts.items()},
+                )
+                for index in range(len(layout))
+            ),
+        )
 
     def bulk_load_stream(
         self, table_name: str, partitions: "Iterable[PartitionBuild]"
@@ -226,44 +211,52 @@ class EncDBDBServer:
 
         ``partitions`` yields :class:`~repro.encdict.pipeline.PartitionBuild`
         items in partition order — typically straight out of the data
-        owner's :meth:`~repro.encdict.pipeline.BuildPipeline.build_stream` —
-        and each is installed into the column store as it arrives, while the
-        owner is still building later partitions. The resulting catalog
-        state is identical to a :meth:`bulk_load` of the collected builds;
-        only the peak transient memory differs (O(partition), not O(table)).
+        owner's :func:`~repro.encdict.pipeline.build_partitions` — and each
+        is installed into the column store as it arrives, before the owner
+        builds the next one. The resulting catalog state is identical to a
+        :meth:`bulk_load` of the collected builds; only the peak transient
+        memory differs (O(partition), not O(table)).
+        """
+        return self._install_partitions(
+            table_name,
+            ((part.builds, part.plain_values) for part in partitions),
+        )
+
+    def _install_partitions(
+        self,
+        table_name: str,
+        partitions: Iterable[tuple[dict[str, BuildResult], dict[str, list]]],
+    ) -> int:
+        """Install ``(encrypted builds, plaintext values)`` partitions, in
+        order, as the main store of an empty table — every load ends here.
+
+        Each partition must cover exactly the table's columns, each in the
+        form its spec declares, at one common length; plaintext values are
+        type-checked against the partition's distinct values. Nothing is
+        attached until the stream is exhausted, so a rejected load leaves the
+        table empty; a load of no partitions is a no-op.
         """
         table = self.catalog.table(table_name)
         if table.row_count:
             raise CatalogError(f"table {table_name!r} already holds data")
-        expected = set(table.column_names)
-        columns: dict[str, PlainStoredColumn | EncryptedStoredColumn] = {}
-        for spec in table.specs:
-            if spec.is_encrypted:
-                column = EncryptedStoredColumn(spec, None)
-                column.bind(table.name)
-            else:
-                column = PlainStoredColumn(spec)
-            columns[spec.name] = column
+        columns = self._empty_columns(table)
         row_count = 0
         largest_partition = 0
-        partition_count = 0
-        for partition in partitions:
-            provided = set(partition.builds) | set(partition.plain_values)
-            if provided != expected:
+        for index, (builds, plain_values) in enumerate(partitions):
+            if set(builds) | set(plain_values) != set(columns):
                 raise CatalogError(
                     f"bulk load must cover exactly the columns of {table_name!r}"
                 )
             lengths = {
-                len(build.attribute_vector)
-                for build in partition.builds.values()
-            } | {len(values) for values in partition.plain_values.values()}
+                len(build.attribute_vector) for build in builds.values()
+            } | {len(values) for values in plain_values.values()}
             if len(lengths) != 1:
                 raise CatalogError(
-                    f"partition {partition_count} of {table_name!r} has "
+                    f"partition {index} of {table_name!r} has "
                     "columns of inconsistent lengths"
                 )
-            for name, build in partition.builds.items():
-                spec = table.spec(name)
+            for name, build in builds.items():
+                spec = columns[name].spec
                 if not spec.is_encrypted:
                     raise CatalogError(f"column {name!r} is not encrypted")
                 if build.dictionary.kind != spec.protection:
@@ -272,21 +265,21 @@ class EncDBDBServer:
                         f"{build.dictionary.kind} but is declared {spec.protection}"
                     )
                 columns[name].append_partition(build)
-            for name, values in partition.plain_values.items():
-                spec = table.spec(name)
+            for name, values in plain_values.items():
+                spec = columns[name].spec
                 if spec.is_encrypted:
                     raise CatalogError(
                         f"column {name!r} requires an encrypted build"
                     )
+                for value in set(values):
+                    spec.value_type.validate(value)
                 columns[name].append_partition_values(values)
             (partition_rows,) = lengths
             row_count += partition_rows
             largest_partition = max(largest_partition, partition_rows)
-            partition_count += 1
-        if partition_count == 0:
-            raise CatalogError("bulk load stream produced no partitions")
-        table.attach_columns(columns, row_count)
-        table.partition_rows = largest_partition
+        if row_count:
+            table.attach_columns(columns, row_count)
+            table.partition_rows = largest_partition
         return row_count
 
     def drop_table(self, table_name: str) -> None:

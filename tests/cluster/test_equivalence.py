@@ -138,3 +138,23 @@ def test_delete_by_global_record_id_reaches_owning_shards(deployments):
     remaining = _record_ids(deployments["single"], check)
     for shards in SHARD_COUNTS:
         assert _record_ids(deployments[shards], check) == remaining, shards
+
+
+def test_empty_load_is_a_no_op_on_a_cluster_too():
+    """An empty partitioned load places nothing and records no assignment
+    (in-process and TCP: tests/system/test_build_pipeline_system.py); the
+    table stays queryable, insertable and loadable."""
+    with live_cluster(2) as handles:
+        with ClusterSystem.connect(
+            handles.shard_map, seed=5, retry=FAST_RETRY
+        ) as cluster:
+            cluster.execute("CREATE TABLE e (id INTEGER, v ED3 INTEGER)")
+            empty = cluster.bulk_load("e", {"id": [], "v": []}, partition_rows=4)
+            assert (empty.total_rows, empty.spans) == (0, ())
+            assert handles.shard_map.assignment("e") is None
+            assert cluster.query("SELECT id FROM e WHERE v > 0").rows == []
+            loaded = cluster.bulk_load(
+                "e", {"id": [1, 2, 3], "v": [4, 5, 6]}, partition_rows=2
+            )
+            assert loaded.total_rows == 3
+            assert sorted(cluster.query("SELECT id FROM e WHERE v > 4").column("id")) == [2, 3]

@@ -10,7 +10,7 @@ import pytest
 from repro.cluster import ClusterSystem
 from repro.exceptions import ClusterError
 from repro.net import RetryPolicy
-from repro.runtime import CLUSTER_POOL, active_pool
+from repro.cluster.router import SCATTER_THREAD_PREFIX
 
 from tests.cluster.conftest import live_cluster
 
@@ -110,9 +110,17 @@ def test_writes_reach_surviving_replica():
             assert got == _expected() + [999]
 
 
+def _scatter_threads() -> list[threading.Thread]:
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith(SCATTER_THREAD_PREFIX)
+    ]
+
+
 def test_stopping_a_replica_leaves_the_scatter_pool_alone():
-    """A stopping server owns no worker pool: the router's scatter pool is
-    the same live object before and after, and reads looping on another
+    """A stopping server owns no executor: the router's own scatter executor
+    is the same live object before and after, and reads looping on another
     thread across the stop never see a shut-down executor."""
     with live_cluster(2, replicas=1) as handles:
         with ClusterSystem.connect(
@@ -121,8 +129,9 @@ def test_stopping_a_replica_leaves_the_scatter_pool_alone():
             _load(cluster)
             expected = _expected()
             assert sorted(cluster.query(SQL).column("id")) == expected
-            pool = active_pool(CLUSTER_POOL)
-            assert pool is not None
+            router = cluster.coordinator.router
+            pool = router._scatter_pool
+            assert _scatter_threads()
 
             stopped = threading.Event()
             errors: list[BaseException] = []
@@ -144,4 +153,28 @@ def test_stopping_a_replica_leaves_the_scatter_pool_alone():
             thread.join(timeout=60)
             assert not thread.is_alive()
             assert errors == []
-            assert active_pool(CLUSTER_POOL) is pool
+            assert router._scatter_pool is pool
+            pool.submit(int).result(timeout=10)  # still accepts work
+
+
+def test_no_scatter_thread_survives_close():
+    """Regression: scatter threads lived in a process-wide registry nothing
+    in ``src/`` ever shut down, so they outlived every ``close()``."""
+    before = set(_scatter_threads())
+    with live_cluster(2) as handles:
+        with ClusterSystem.connect(handles.shard_map, seed=5) as cluster:
+            _load(cluster)
+            assert sorted(cluster.query(SQL).column("id")) == _expected()
+            started = set(_scatter_threads()) - before
+            assert started
+        assert not any(thread.is_alive() for thread in started)
+
+
+def test_single_shard_router_never_starts_a_scatter_thread():
+    before = set(_scatter_threads())
+    with live_cluster(1) as handles:
+        with ClusterSystem.connect(handles.shard_map, seed=5) as cluster:
+            _load(cluster)
+            assert sorted(cluster.query(SQL).column("id")) == _expected()
+            cluster.execute("INSERT INTO t VALUES (999, 8)")
+            assert set(_scatter_threads()) == before

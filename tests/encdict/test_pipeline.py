@@ -1,11 +1,11 @@
-"""The parallel streaming build pipeline (PR 4).
+"""The streaming build (``repro.encdict.pipeline.build_partitions``).
 
-The load-bearing property is bit-for-bit determinism: for every ED kind,
-the pipeline — inline or on the thread pool, with any worker count — must
-produce exactly the artifacts of the serial ``encdb_build_partitioned``
-reference: same ciphertext dictionaries, same rotation offsets, same
-attribute vectors, same ``BuildStats``. Everything else (streaming order,
-backpressure) is bookkeeping around that.
+The load-bearing property is bit-for-bit determinism: for every ED kind the
+stream must produce exactly the artifacts of the serial
+``encdb_build_partitioned`` reference over a materialized column: same
+ciphertext dictionaries, same rotation offsets, same attribute vectors,
+same ``BuildStats``. Everything else (streaming order, one partition
+resident at a time) is bookkeeping around that.
 """
 
 from __future__ import annotations
@@ -13,20 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.runtime as runtime
 from repro.columnstore.types import ColumnSpec, parse_type
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.pae import default_pae
-from repro.encdict.builder import derive_partition_rngs, encdb_build_partitioned
-from repro.encdict.options import ALL_KINDS, kind_by_name
-from repro.encdict.pipeline import (
-    BuildPipeline,
-    ColumnPlan,
-    build_encrypt_operations,
-    shutdown_build_pools,
+from repro.encdict.builder import (
+    derive_partition_rngs,
+    encdb_build_partitioned,
+    partition_rng_stream,
 )
+from repro.encdict.options import ALL_KINDS, kind_by_name
+from repro.encdict.pipeline import ColumnPlan, build_partitions
 from repro.exceptions import CatalogError
-from repro.runtime import BUILD_THREAD_POOL, configured_workers, pool_workers
 
 INT = parse_type("INTEGER")
 KEY = b"\x07" * 16
@@ -68,49 +65,45 @@ def _assert_identical(expected, actual):
         assert got.stats == want.stats
 
 
-@pytest.fixture
-def multicore(monkeypatch):
-    """Pin the host to 4 cores so ``max_workers > 1`` really uses the pool."""
-    monkeypatch.setattr(runtime, "detected_cores", lambda: 4)
-
-
-@pytest.mark.parametrize("kind_name", [kind.name for kind in ALL_KINDS])
 @pytest.mark.parametrize(
-    "max_workers", [pytest.param(1, id="serial"), pytest.param(3, id="thread")]
+    "kind_name", [kind.name for kind in ALL_KINDS], ids=lambda name: f"serial-{name}"
 )
-def test_pipeline_matches_serial_builder_for_every_kind(
-    kind_name, max_workers, multicore
-):
+def test_pipeline_matches_serial_builder_for_every_kind(kind_name):
     kind = kind_by_name(kind_name)
     reference, reference_encrypts = _reference(kind)
     pae = default_pae(rng=HmacDrbg(b"pipe-pae"))
-    pipeline = BuildPipeline(pae=pae, max_workers=max_workers)
-    assert pipeline.pool_workers == (0 if max_workers == 1 else 3)
-    encrypted, plain = pipeline.build_columns(
-        "t", {"c": _plan(kind)}, partition_rows=PARTITION_ROWS
+    partitions = list(
+        build_partitions(
+            "t", {"c": _plan(kind)}, partition_rows=PARTITION_ROWS, pae=pae
+        )
     )
-    assert plain == {}
-    _assert_identical(reference, encrypted["c"])
-    # Batched encryption changes no counts: entry + offset encryptions of a
-    # parallel build equal the serial builder's, exactly.
+    assert all(part.plain_values == {} for part in partitions)
+    _assert_identical(reference, [part.builds["c"] for part in partitions])
+    # Entry + offset encryptions of the stream equal the serial builder's.
     assert pae.encrypt_count == reference_encrypts
 
 
-def test_build_encrypt_operations_counts_offset():
-    builds, encrypts = _reference(kind_by_name("ED2"))  # rotated: has offset
-    assert sum(build_encrypt_operations(b) for b in builds) == encrypts
-
-
 def test_partition_rng_pairs_are_execution_order_independent():
-    """Pre-derived (build, iv) DRBGs are a pure function of the column seed
-    and the partition index — deriving 4 up front equals deriving lazily."""
+    """The (build, iv) DRBG pairs are a pure function of the column seed and
+    the partition index: the list form, the lazy stream and hand-forking
+    draw the same bytes."""
     eager = derive_partition_rngs(HmacDrbg(b"x"), 4)
-    lazy_parent = HmacDrbg(b"x")
+    lazy = partition_rng_stream(HmacDrbg(b"x"))
+    hand_parent = HmacDrbg(b"x")
     for index, (build_rng, iv_rng) in enumerate(eager):
-        lazy_build = lazy_parent.fork(f"part-{index}")
-        lazy_iv = lazy_build.fork("pae-iv")
-        assert lazy_build.random_bytes(16) == build_rng.random_bytes(16)
-        assert lazy_iv.random_bytes(16) == iv_rng.random_bytes(16)
+        lazy_build, lazy_iv = next(lazy)
+        hand_build = hand_parent.fork(f"part-{index}")
+        hand_iv = hand_build.fork("pae-iv")
+        assert (
+            build_rng.random_bytes(16)
+            == lazy_build.random_bytes(16)
+            == hand_build.random_bytes(16)
+        )
+        assert (
+            iv_rng.random_bytes(16)
+            == lazy_iv.random_bytes(16)
+            == hand_iv.random_bytes(16)
+        )
 
 
 def test_stream_yields_partitions_in_order_with_mixed_columns(pae):
@@ -120,11 +113,7 @@ def test_stream_yields_partitions_in_order_with_mixed_columns(pae):
         "e": ColumnPlan(enc_spec, iter(VALUES), key=KEY, rng=HmacDrbg(b"e")),
         "p": ColumnPlan(plain_spec, iter(range(ROWS))),
     }
-    partitions = list(
-        BuildPipeline(pae=pae, max_workers=2).build_stream(
-            "t", plans, partition_rows=50
-        )
-    )
+    partitions = list(build_partitions("t", plans, partition_rows=50, pae=pae))
     assert [part.index for part in partitions] == [0, 1, 2]
     assert [part.row_count for part in partitions] == [50, 50, 20]
     assert [len(part.builds["e"].attribute_vector) for part in partitions] == [50, 50, 20]
@@ -133,8 +122,8 @@ def test_stream_yields_partitions_in_order_with_mixed_columns(pae):
 
 
 def test_stream_backpressure_bounds_source_consumption(pae):
-    """At yield time of partition i, the source may be consumed at most
-    ``max_inflight_partitions`` partitions ahead — O(partition) residency."""
+    """At yield time of partition i the source has been consumed exactly
+    through partition i, so one partition of plaintext is resident."""
     consumed = 0
 
     def source():
@@ -145,14 +134,37 @@ def test_stream_backpressure_bounds_source_consumption(pae):
 
     spec = ColumnSpec("c", INT, protection=kind_by_name("ED3"), bsmax=4)
     plans = {"c": ColumnPlan(spec, source(), key=KEY, rng=HmacDrbg(b"c"))}
-    pipeline = BuildPipeline(
-        pae=pae, max_workers=2, max_inflight_partitions=2
-    )
     rows = 10
-    for part in pipeline.build_stream("t", plans, partition_rows=rows):
-        # windowed slicing: everything yielded + at most the inflight window
-        # (plus the one-slice lookahead that detects exhaustion).
-        assert consumed <= (part.index + 1 + 2 + 1) * rows
+    for part in build_partitions("t", plans, partition_rows=rows, pae=pae):
+        assert consumed == (part.index + 1) * rows
+
+
+def test_abandoned_stream_builds_nothing_further(pae):
+    """A consumer that stops early stops the build: no later slice is read
+    and no later partition is encrypted."""
+    consumed = 0
+
+    def source():
+        nonlocal consumed
+        for value in VALUES:
+            consumed += 1
+            yield value
+
+    spec = ColumnSpec("c", INT, protection=kind_by_name("ED1"), bsmax=4)
+    plans = {"c": ColumnPlan(spec, source(), key=KEY, rng=HmacDrbg(b"c"))}
+    stream = build_partitions("t", plans, partition_rows=10, pae=pae)
+    next(stream)
+    encrypts = pae.encrypt_count
+    stream.close()
+    assert consumed == 10
+    assert pae.encrypt_count == encrypts
+
+
+def test_stream_of_empty_sources_yields_nothing(pae):
+    spec = ColumnSpec("c", INT, protection=kind_by_name("ED1"), bsmax=4)
+    plans = {"c": ColumnPlan(spec, [], key=KEY, rng=HmacDrbg(b"c"))}
+    assert list(build_partitions("t", plans, partition_rows=10, pae=pae)) == []
+    assert pae.encrypt_count == 0
 
 
 def test_stream_rejects_mismatched_column_lengths(pae):
@@ -162,46 +174,11 @@ def test_stream_rejects_mismatched_column_lengths(pae):
         "e": ColumnPlan(enc_spec, iter(VALUES), key=KEY, rng=HmacDrbg(b"e")),
         "p": ColumnPlan(plain_spec, iter(range(ROWS - 7))),
     }
-    pipeline = BuildPipeline(pae=pae, max_workers=2)
     with pytest.raises(CatalogError, match="different points"):
-        list(pipeline.build_stream("t", plans, partition_rows=50))
+        list(build_partitions("t", plans, partition_rows=50, pae=pae))
 
 
 def test_column_plan_requires_key_and_rng_for_encrypted_columns():
     spec = ColumnSpec("c", INT, protection=kind_by_name("ED1"), bsmax=4)
     with pytest.raises(CatalogError, match="needs a key"):
         ColumnPlan(spec, [1, 2, 3])
-
-
-def test_single_worker_falls_back_to_serial(pae, multicore):
-    assert BuildPipeline(pae=pae, max_workers=1).pool_workers == 0
-
-
-def test_single_core_host_builds_inline(pae, monkeypatch):
-    monkeypatch.setattr(runtime, "detected_cores", lambda: 1)
-    pipeline = BuildPipeline(pae=pae, max_workers=3)
-    assert pipeline.pool_workers == 0
-    shutdown_build_pools()
-    encrypted, _ = pipeline.build_columns(
-        "t", {"c": _plan(kind_by_name("ED1"))}, partition_rows=PARTITION_ROWS
-    )
-    _assert_identical(_reference(kind_by_name("ED1"))[0], encrypted["c"])
-    assert pool_workers(BUILD_THREAD_POOL) == 0  # no pool was ever created
-
-
-def test_worker_knob_env_override(monkeypatch, pae):
-    from repro.runtime import DEFAULT_WORKERS, detected_cores
-
-    monkeypatch.setenv("ENCDBDB_BUILD_WORKERS", "7")
-    assert configured_workers() == 7
-    assert BuildPipeline(pae=pae).max_workers == 7
-    monkeypatch.setenv("ENCDBDB_BUILD_WORKERS", "not-a-number")
-    # Malformed values are ignored; the built-in default is additionally
-    # clamped to the detected core count (never a 4-worker pool on 1 core).
-    assert configured_workers() == max(1, min(DEFAULT_WORKERS, detected_cores()))
-    monkeypatch.setenv("ENCDBDB_BUILD_WORKERS", "-3")
-    assert configured_workers() == 1  # clamped to a working pool size
-
-
-def teardown_module() -> None:
-    shutdown_build_pools()

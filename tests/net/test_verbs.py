@@ -178,8 +178,8 @@ def test_stub_encodes_calls_canonically(net_server):
 def test_stub_answers_absent_for_anything_that_is_not_a_verb(net_server):
     server = RemoteServer(NetConnection("127.0.0.1", net_server.port))
     try:
-        # Proxy / DataOwner probe these optional hooks with getattr().
-        for name in ("explain_routing", "bulk_load_stream", "drop_table", "load"):
+        # Proxy probes the optional EXPLAIN hook with getattr().
+        for name in ("explain_routing", "drop_table", "load"):
             assert getattr(server, name, None) is None
     finally:
         server.close()
