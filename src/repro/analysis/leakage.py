@@ -126,29 +126,24 @@ ECALL_CONTRACTS: dict[str, LeakageContract] = dict(
             "digest",
         ),
         _ecall(
-            "reencrypt_for_delta",
-            "one PAE blob per appended value (value size padded by bsmax "
-            "encoding)",
-            "encrypt",
+            "reseal_delta",
+            "same-count, same-size re-sealed blobs: an INSERT's transit blobs "
+            "into the storage epoch, or the delta store across a key flip",
+            "encrypt_many",
         ),
         _ecall(
             "rebuild_for_merge",
             "a freshly built encrypted dictionary + attribute vector; "
             "entry order decorrelated by an oblivious shuffle",
-            "encdb_build",
+            "_build_partition",
             "oblivious_shuffle",
         ),
         _ecall(
             "rotate_partition",
             "a deterministically rebuilt encrypted partition (replica-"
             "convergent; randomness from the rotation seed, not ambient)",
-            "encdb_build",
+            "_build_partition",
             "derive_rotation_seed",
-        ),
-        _ecall(
-            "rotate_delta",
-            "same-count, same-size re-encrypted delta blobs at a key flip",
-            "encrypt_many",
         ),
         _ecall(
             "aggregate_groups",

@@ -32,8 +32,8 @@ Eager invariants checked as events arrive, mirroring the contracts in
   count never encodes how many runs matched;
 - ``aggregate_groups`` returns a **power-of-two** count of
   **uniform-size** frames;
-- ``rotate_delta`` returns blobs with byte-for-byte the **same size
-  vector** as its input;
+- ``reseal_delta`` returns blobs with byte-for-byte the **same size
+  vector** as its input — for an INSERT's crossing as for a key flip;
 - every ``ERROR`` frame decodes to a registered wire-safe kind whose
   message survives :func:`repro.net.errors.scrub_message` unchanged and
   carries no traceback text.
@@ -257,17 +257,17 @@ class LeakOracle:
                         "padded to one uniform size",
                     )
                 )
-        elif name == "rotate_delta" and isinstance(result, list):
-            blobs = args[2] if len(args) > 2 else kwargs.get("delta_blobs", ())
+        elif name == "reseal_delta" and isinstance(result, list):
+            blobs = args[2] if len(args) > 2 else kwargs.get("blobs", ())
             in_sizes = [len(b) for b in blobs]
             out_sizes = [len(b) for b in result]
             if in_sizes != out_sizes:
                 self.report.record_violation(
                     LeakViolation(
-                        "rotate-delta-sizes",
-                        f"rotate_delta changed the delta size vector "
-                        f"({in_sizes} -> {out_sizes}); a key flip must be "
-                        "size-invariant",
+                        "reseal-delta-sizes",
+                        f"reseal_delta changed the blob size vector "
+                        f"({in_sizes} -> {out_sizes}); an INSERT's reseal "
+                        "and a key flip must be size-invariant",
                     )
                 )
 

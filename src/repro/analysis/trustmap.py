@@ -205,10 +205,9 @@ REGISTERED_ECALLS: tuple[str, ...] = (
     "dict_search",
     "dict_search_batch",
     "join_tokens",
-    "reencrypt_for_delta",
+    "reseal_delta",  # an INSERT's blobs, or the delta store at a key flip
     "rebuild_for_merge",
     "rotate_partition",  # online rotation shadow rebuild (PR 8)
-    "rotate_delta",  # atomic delta re-seal at a key-rotation flip (PR 8)
     "aggregate_groups",  # ordinal-space GROUP BY / aggregates (PR 9)
 )
 

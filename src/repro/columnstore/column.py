@@ -41,7 +41,6 @@ from repro.encdict.dictionary import EncryptedDictionary
 from repro.encdict.options import ED9
 from repro.encdict.search import SearchResult
 from repro.exceptions import CatalogError, QueryError
-from repro.sgx.enclave import EnclaveHost
 
 
 class PlainStoredColumn:
@@ -161,22 +160,6 @@ class PlainStoredColumn:
             if record_id < start + len(part):
                 return part.value_at(record_id - start)
         raise IndexError(f"RecordID {record_id} out of range")
-
-    def rebuild(self, values: Sequence[Any]) -> None:
-        """Merge: rebuild the main store from the surviving values."""
-        values = list(values)
-        if values:
-            self.set_partition_values(
-                slice_rows(
-                    values,
-                    partition_lengths(
-                        len(values), self.partition_rows or DEFAULT_PARTITION_ROWS
-                    ),
-                )
-            )
-        else:
-            self.partitions = []
-        self.delta_values = []
 
     def search_prefix(self, prefix: str) -> np.ndarray:
         """Global RecordIDs whose value starts with ``prefix``.
@@ -346,27 +329,16 @@ class EncryptedStoredColumn:
     def bind(self, table_name: str) -> None:
         self._table_name = table_name
 
-    def append_transit_blob(self, transit_blob: bytes, host: EnclaveHost) -> int:
-        """Insert one proxy-encrypted value: re-encrypted in the enclave,
-        appended to the ED9 delta store (paper §4.3).
+    def extend_delta(self, stored_blobs: Sequence[bytes]) -> None:
+        """Append enclave-resealed blobs to the ED9 delta store (paper §4.3).
 
-        Transit blobs are always epoch 0 (the permanent proxy↔enclave
-        encoding); the stored blob is sealed under the column's current
-        storage epoch so the delta store stays epoch-uniform with main.
+        The caller reads ``key_epoch``, has the enclave seal the blobs under
+        it and calls this inside one :meth:`rotation_lock` section, so the
+        delta stays epoch-uniform with main and no insert straddles a
+        key-rotation flip (which re-seals the delta under the same lock).
         """
         with self._shadow_lock:
-            # Epoch read, re-seal and append are one critical section so an
-            # insert can never straddle a key-rotation flip (which re-seals
-            # the delta under the same lock).
-            stored = host.ecall(
-                "reencrypt_for_delta",
-                self._table_name,
-                self.spec.name,
-                transit_blob,
-                key_epoch=self.key_epoch,
-            )
-            self.delta_blobs.append(stored)
-            return len(self) - 1
+            self.delta_blobs.extend(stored_blobs)
 
     def _delta_dictionary(
         self, delta_blobs: list[bytes], key_epoch: int
@@ -591,7 +563,7 @@ class EncryptedStoredColumn:
     def rotation_lock(self) -> threading.RLock:
         """The shadow lock, for callers that must compose several rotation
         operations into one critical section (e.g. the DBMS's flip step:
-        read delta → ``rotate_delta`` ecall → :meth:`flip_shadow`)."""
+        read delta → ``reseal_delta`` ecall → :meth:`flip_shadow`)."""
         return self._shadow_lock
 
     def begin_shadow(self, kind_name: str, key_epoch: int) -> int:
@@ -670,7 +642,7 @@ class EncryptedStoredColumn:
         section, so no reader can observe a mixed-epoch column.
 
         The caller (the DBMS) runs this under its session lock with the
-        re-sealed delta from the ``rotate_delta`` ecall, making the flip
+        re-sealed delta from the ``reseal_delta`` ecall, making the flip
         atomic against queries and inserts as well.
         """
         with self._shadow_lock:
@@ -694,7 +666,7 @@ class EncryptedStoredColumn:
 
         ``delta_blobs`` replaces the delta store; the DBMS passes the
         pre-flip delta plus any post-flip inserts re-sealed back to the old
-        epoch (``rotate_delta``), again under its session lock.
+        epoch (``reseal_delta``), again under its session lock.
         """
         with self._shadow_lock:
             shadow = self._require_shadow()
@@ -733,22 +705,6 @@ class EncryptedStoredColumn:
                 else:
                     versions.append("old")
             return versions
-
-    def join_tokens(self, host: EnclaveHost, salt: bytes) -> list[bytes]:
-        """Per-row join tokens issued by the enclave (one per global rid)."""
-        builds, delta_blobs, key_epoch = self.render_view()
-        tokens: list[bytes] = []
-        for build in builds:
-            if not len(build.attribute_vector):
-                continue
-            entry_tokens = host.ecall("join_tokens", build.dictionary, salt)
-            tokens.extend(
-                entry_tokens[int(vid)] for vid in build.attribute_vector
-            )
-        if delta_blobs:
-            delta = self._delta_dictionary(delta_blobs, key_epoch)
-            tokens.extend(host.ecall("join_tokens", delta, salt))
-        return tokens
 
     def storage_bytes(self) -> int:
         """Table 6 accounting: head + tail + packed AV (+ delta blobs)."""

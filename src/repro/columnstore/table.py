@@ -84,10 +84,9 @@ class Table:
         self.columns = dict(columns)
         self._validity = np.ones(row_count, dtype=bool)
 
-    def register_insert(self) -> int:
-        """Extend the validity vector for one appended row."""
-        self._validity = np.append(self._validity, True)
-        return self.row_count - 1
+    def register_inserts(self, count: int) -> None:
+        """Commit one statement's ``count`` appended rows as valid."""
+        self._validity = np.concatenate([self._validity, np.ones(count, dtype=bool)])
 
     def delete_rows(self, record_ids: np.ndarray) -> int:
         """Clear validity bits; returns how many rows were actually live."""
@@ -103,10 +102,10 @@ class Table:
     def filter_valid(self, record_ids: np.ndarray) -> np.ndarray:
         """Drop RecordIDs whose validity bit is cleared (read-path merge).
 
-        The validity vector is an insert's commit point: a concurrent
-        insert appends to each column's delta store before
-        :meth:`register_insert` runs, so a scan may already return that
-        row's RecordID — past the end of the vector, not yet visible.
+        The validity vector is an INSERT statement's commit point: a
+        concurrent insert extends every column's delta store before
+        :meth:`register_inserts` runs, so a scan may already return those
+        rows' RecordIDs — past the end of the vector, not yet visible.
         """
         record_ids = np.asarray(record_ids, dtype=np.int64)
         validity = self._validity

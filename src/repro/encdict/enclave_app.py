@@ -13,10 +13,12 @@ analogue of the paper's 1129-LOC C enclave. Its ecalls are:
   ``EnclDictSearch`` matching the dictionary's kind. One ecall per query;
   dictionary entries are pulled from untrusted memory one at a time, so
   enclave memory use is constant and independent of ``|D|`` (§5);
-- ``reencrypt_for_delta`` and ``rebuild_for_merge`` for dynamic data
-  (§4.3): inserts are re-encrypted under a fresh IV inside the enclave, and
-  the periodic delta merge re-encrypts, re-rotates and re-shuffles so old
-  and new main stores cannot be linked.
+- ``reseal_delta`` and ``rebuild_for_merge`` for dynamic data (§4.3): an
+  INSERT's values are opened and re-sealed under fresh IVs inside the
+  enclave, one crossing per encrypted column of the statement (the same
+  ecall moves the delta store across a key-rotation flip), and the periodic
+  delta merge re-encrypts, re-rotates and re-shuffles so old and new main
+  stores cannot be linked.
 """
 
 from __future__ import annotations
@@ -192,23 +194,9 @@ class EncDBDBEnclave(Enclave):
         """
         return self._searcher.partition_usage()
 
-    def _epoch(
-        self, table_name: str, column_name: str, partition_id: int | None = None
-    ) -> int:
-        """The write epoch of one partition, or — with ``partition_id=None``
-        — the column-wide maximum (any write anywhere advances it)."""
-        if partition_id is not None:
-            return self._column_epochs.get(
-                (table_name, column_name, partition_id), 0
-            )
-        return max(
-            (
-                epoch
-                for (table, column, _), epoch in self._column_epochs.items()
-                if table == table_name and column == column_name
-            ),
-            default=0,
-        )
+    def _epoch(self, table_name: str, column_name: str, partition_id: int) -> int:
+        """The write epoch of one partition (0 until its first write)."""
+        return self._column_epochs.get((table_name, column_name, partition_id), 0)
 
     def _bump_epoch(
         self, table_name: str, column_name: str, partition_id: int = 0
@@ -454,35 +442,69 @@ class EncDBDBEnclave(Enclave):
     # Dynamic data (paper §4.3)
     # ------------------------------------------------------------------
     @ecall
-    def reencrypt_for_delta(
+    def reseal_delta(
         self,
         table_name: str,
         column_name: str,
-        transit_blob: bytes,
+        blobs: Sequence[bytes],
         *,
-        key_epoch: int = 0,
-    ) -> bytes:
-        """Re-encrypt an inserted value with a fresh IV for the delta store.
+        from_epoch: int = 0,
+        to_epoch: int = 0,
+    ) -> list[bytes]:
+        """Open ``blobs`` under one key epoch, re-seal them under another.
 
-        The stored ciphertext is unlinkable to the one that travelled over
-        the network, so neither order nor frequency leaks on insertion. The
-        transit blob is always under the epoch-0 key; ``key_epoch`` is the
-        column's current *storage* epoch (post key rotation), so new inserts
-        land under the same key generation as the rotated main store.
+        The one write to the ED9 delta store. An INSERT passes one column's
+        transit blobs for all rows of the statement (``from_epoch`` 0 is the
+        permanent proxy↔enclave key) and the column's storage epoch, so new
+        rows land under the same key generation as the main store; a
+        key-rotation flip passes the whole delta store, old epoch to new,
+        and its rollback the post-flip suffix back. Fresh IVs make the
+        result unlinkable to the input; order is kept (delta RecordIDs are
+        positional). The untrusted side sees a same-length list of same-size
+        blobs, and one bad tag rejects the whole list.
         """
         from repro.columnstore.partition import DELTA_PARTITION_ID
 
         # Only the delta store changes: main-partition caches stay warm.
         self._bump_epoch(table_name, column_name, DELTA_PARTITION_ID)
-        transit_key = self._column_key(table_name, column_name)
-        plaintext = self._pae.decrypt(transit_key, transit_blob)
-        self.cost_model.record_decryption(len(transit_blob))
-        store_key = (
-            transit_key
-            if not key_epoch
-            else self._column_key(table_name, column_name, key_epoch)
+        if not blobs:
+            return []
+        from_key = self._column_key(table_name, column_name, from_epoch)
+        to_key = self._column_key(table_name, column_name, to_epoch)
+        plaintexts = self._pae.decrypt_many(from_key, list(blobs))
+        for blob in blobs:
+            self.cost_model.record_decryption(len(blob))
+        return self._pae.encrypt_many(to_key, plaintexts)
+
+    def _build_partition(
+        self,
+        values: Sequence,
+        kind: EncryptedDictionaryKind,
+        *,
+        table_name: str,
+        column_name: str,
+        partition_id: int,
+        key_epoch: int,
+        **build_options,
+    ) -> BuildResult:
+        """``EncDB`` inside the enclave, where merge and rotation rebuilds
+        both end: the enclave fixes the ``key_epoch`` storage key, its PAE
+        and the partition/epoch stamp later searches open the result under;
+        ``build_options`` (``value_type``, ``bsmax``, ``rng``, ``iv_rng``)
+        go to :func:`encdb_build` as given."""
+        build = encdb_build(
+            values,
+            kind,
+            key=self._column_key(table_name, column_name, key_epoch),
+            pae=self._pae,
+            table_name=table_name,
+            column_name=column_name,
+            encrypted=True,
+            **build_options,
         )
-        return self._pae.encrypt(store_key, plaintext)
+        build.dictionary.partition_id = partition_id
+        build.dictionary.key_epoch = key_epoch
+        return build
 
     @ecall
     def rebuild_for_merge(
@@ -496,7 +518,6 @@ class EncDBDBEnclave(Enclave):
         bsmax: int = 10,
         partition_id: int = 0,
         key_epoch: int = 0,
-        blob_epochs: Sequence[int] | None = None,
     ) -> BuildResult:
         """Merge delta values into a fresh main-store partition.
 
@@ -511,25 +532,17 @@ class EncDBDBEnclave(Enclave):
         After an online key rotation the whole column sits under one storage
         epoch (the flip re-seals main and delta together): ``key_epoch`` is
         that uniform epoch, for the input blobs and the rebuilt partition
-        alike. ``blob_epochs`` overrides per input blob for callers merging
-        mixed-epoch ciphertext.
+        alike.
         """
         if not value_blobs:
             raise QueryError("rebuild_for_merge requires at least one value")
-        if blob_epochs is not None and len(blob_epochs) != len(value_blobs):
-            raise QueryError("blob_epochs does not match value_blobs")
         self._bump_epoch(table_name, column_name, partition_id)
         from repro.sgx.oblivious import oblivious_shuffle
 
-        keys_by_epoch = {
-            epoch: self._column_key(table_name, column_name, epoch)
-            for epoch in set(blob_epochs or ()) | {key_epoch}
-        }
-        key = keys_by_epoch[key_epoch]
+        key = self._column_key(table_name, column_name, key_epoch)
         plaintexts = []
-        for index, blob in enumerate(value_blobs):
-            blob_key = keys_by_epoch[blob_epochs[index]] if blob_epochs else key
-            plaintext = self._pae.decrypt(blob_key, blob)
+        for blob in value_blobs:
+            plaintext = self._pae.decrypt(key, blob)
             self.cost_model.record_decryption(len(blob))
             plaintexts.append(value_type.from_bytes(plaintext))
         # Obliviously permute row order before rebuilding: with the fresh
@@ -539,7 +552,6 @@ class EncDBDBEnclave(Enclave):
         order = oblivious_shuffle(
             list(range(len(plaintexts))), self._rng.fork("merge-shuffle")
         )
-        shuffled = [plaintexts[i] for i in order]
         fork_label = f"merge-{table_name}-{column_name}"
         if partition_id:
             # Distinct DRBG stream per partition so two partitions rebuilt in
@@ -547,17 +559,16 @@ class EncDBDBEnclave(Enclave):
             # keeps the historical label (bit-identical single-partition
             # merges).
             fork_label += f"-p{partition_id}"
-        build = encdb_build(
-            shuffled,
+        build = self._build_partition(
+            [plaintexts[i] for i in order],
             kind,
-            value_type=value_type,
-            key=key,
-            pae=self._pae,
-            rng=self._rng.fork(fork_label),
-            bsmax=bsmax,
             table_name=table_name,
             column_name=column_name,
-            encrypted=True,
+            partition_id=partition_id,
+            key_epoch=key_epoch,
+            value_type=value_type,
+            bsmax=bsmax,
+            rng=self._rng.fork(fork_label),
         )
         # Realign the attribute vector to the caller's row order (all columns
         # of a table must stay row-aligned); the dictionaries themselves were
@@ -567,8 +578,6 @@ class EncDBDBEnclave(Enclave):
         realigned = np.empty_like(build.attribute_vector)
         realigned[np.asarray(order, dtype=np.int64)] = build.attribute_vector
         build.attribute_vector = realigned
-        build.dictionary.partition_id = partition_id
-        build.dictionary.key_epoch = key_epoch
         return build
 
     # ------------------------------------------------------------------
@@ -639,52 +648,18 @@ class EncDBDBEnclave(Enclave):
         build_rng, iv_rng = derive_partition_rngs(root, partition_index + 1)[
             partition_index
         ]
-        build = encdb_build(
+        return self._build_partition(
             values,
             new_kind,
-            value_type=value_type,
-            key=self._column_key(table_name, column_name, key_epoch),
-            pae=self._pae,
-            rng=build_rng,
-            iv_rng=iv_rng,
-            bsmax=bsmax,
             table_name=table_name,
             column_name=column_name,
-            encrypted=True,
+            partition_id=partition_id,
+            key_epoch=key_epoch,
+            value_type=value_type,
+            bsmax=bsmax,
+            rng=build_rng,
+            iv_rng=iv_rng,
         )
-        build.dictionary.partition_id = partition_id
-        build.dictionary.key_epoch = key_epoch
-        return build
-
-    @ecall
-    def rotate_delta(
-        self,
-        table_name: str,
-        column_name: str,
-        delta_blobs: Sequence[bytes],
-        *,
-        old_key_epoch: int = 0,
-        key_epoch: int = 0,
-    ) -> list[bytes]:
-        """Re-encrypt the ED9 delta store under a new storage-key epoch.
-
-        Runs once, at the atomic flip of a key rotation: every delta blob is
-        opened under the old epoch and resealed under the new one with fresh
-        IVs, order preserved (delta RecordIDs are positional). The untrusted
-        side sees a same-length list of same-size blobs — nothing about the
-        values.
-        """
-        from repro.columnstore.partition import DELTA_PARTITION_ID
-
-        self._bump_epoch(table_name, column_name, DELTA_PARTITION_ID)
-        if not delta_blobs:
-            return []
-        old_key = self._column_key(table_name, column_name, old_key_epoch)
-        new_key = self._column_key(table_name, column_name, key_epoch)
-        plaintexts = self._pae.decrypt_many(old_key, list(delta_blobs))
-        for blob in delta_blobs:
-            self.cost_model.record_decryption(len(blob))
-        return self._pae.encrypt_many(new_key, plaintexts)
 
     # ------------------------------------------------------------------
     # Analytics pushdown (PR 9)

@@ -7,7 +7,7 @@ re-encrypts a *live* column — partition by partition, while queries keep
 flowing — to a different encrypted-dictionary kind and/or a new key epoch.
 
 The untrusted side only schedules: every re-encryption happens inside the
-enclave (``rotate_partition`` / ``rotate_delta`` ecalls), so plaintext never
+enclave (``rotate_partition`` / ``reseal_delta`` ecalls), so plaintext never
 leaves the TCB and the migration engine never names key material. A
 :class:`MigrationPlan` decomposes one rotation into phased, individually
 reversible steps; a :class:`~repro.migrate.runner.MigrationJob` executes

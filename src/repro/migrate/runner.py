@@ -207,18 +207,19 @@ class MigrationJob:
     def _do_flip(self, step: MigrationStep) -> None:
         """Atomic key-rotation finalize: partitions, delta and epoch move
         together under the column's rotation lock, with the delta re-sealed
-        by the ``rotate_delta`` ecall inside the same critical section (the
-        insert path takes the same lock, so no insert can straddle it)."""
+        by the ``reseal_delta`` ecall inside the same critical section (an
+        INSERT holds the same lock for its whole statement, so none can
+        straddle it)."""
         column = self._column()
         plan = self.plan
         with column.rotation_lock():
             resealed = self._host.ecall(
-                "rotate_delta",
+                "reseal_delta",
                 plan.table,
                 plan.column,
                 list(column.delta_blobs),
-                old_key_epoch=plan.old_key_epoch,
-                key_epoch=plan.new_key_epoch,
+                from_epoch=plan.old_key_epoch,
+                to_epoch=plan.new_key_epoch,
             )
             column.flip_shadow(resealed)
 
@@ -234,12 +235,12 @@ class MigrationJob:
                 return
             suffix = list(column.delta_blobs[len(shadow.old_delta):])
             resealed = self._host.ecall(
-                "rotate_delta",
+                "reseal_delta",
                 plan.table,
                 plan.column,
                 suffix,
-                old_key_epoch=plan.new_key_epoch,
-                key_epoch=plan.old_key_epoch,
+                from_epoch=plan.new_key_epoch,
+                to_epoch=plan.old_key_epoch,
             )
             column.unflip_shadow(list(shadow.old_delta) + resealed)
 

@@ -10,6 +10,7 @@ steps 6-13).
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any
 
@@ -20,6 +21,7 @@ from repro.columnstore.column import EncryptedStoredColumn, PlainStoredColumn
 from repro.columnstore.dictionary import DictionaryEncodedColumn
 from repro.columnstore.partition import DEFAULT_PARTITION_ROWS, PartitionMap
 from repro.columnstore.table import Table
+from repro.encdict.builder import BuildResult
 from repro.exceptions import QueryError
 from repro.sgx.enclave import EnclaveHost
 from repro.sql.planner import (
@@ -548,32 +550,70 @@ class Executor:
         return result
 
     def _join_keys(self, table: Table, column_name: str, salt: bytes) -> list:
+        """Per-row join keys, one per global RecordID: plaintext values, or
+        the enclave's per-entry join tokens looked up by each row's ValueID."""
         column = table.column(column_name)
         if isinstance(column, PlainStoredColumn):
             return column.join_keys()
         if self._host is None:
             raise QueryError("no enclave available for encrypted joins")
-        return column.join_tokens(self._host, salt)
+        tokens: list[bytes] = []
+        every_row = np.arange(len(column), dtype=np.int64)
+        for dictionary, vids in column.ordinal_segments(every_row):
+            entry_tokens = self._host.ecall("join_tokens", dictionary, salt)
+            tokens.extend(entry_tokens[vid] for vid in vids.tolist())
+        return tokens
 
     def insert_prepared(self, table_name: str, prepared_rows: list[dict]) -> int:
         """Append proxy-prepared rows (encrypted columns carry transit blobs).
 
+        The statement is the unit. (1) Every row must cover exactly the
+        table's columns, every plaintext value is validated and every
+        encrypted payload must be a blob. (2) Holding the rotation lock of
+        every encrypted column (schema order) for the rest of the statement
+        — so it cannot straddle a key-rotation flip — one ``reseal_delta``
+        crossing per encrypted column re-seals that column's transit blobs
+        (epoch 0) under its storage epoch. (3) Only then does every column's
+        delta store grow, committed by one ``register_inserts``. A failure
+        in (1) or (2) leaves the table exactly as it was.
+
         Returns the number of inserted rows.
         """
         table = self._catalog.table(table_name)
+        expected = set(table.column_names)
         for prepared in prepared_rows:
-            if set(prepared) != set(table.column_names):
+            if set(prepared) != expected:
                 raise QueryError("prepared row does not cover every column")
-            for name in table.column_names:
-                column = table.column(name)
-                payload = prepared[name]
+        columns = [(name, table.column(name)) for name in table.column_names]
+        staged = {name: [row[name] for row in prepared_rows] for name, _ in columns}
+        encrypted = []
+        for name, column in columns:
+            if isinstance(column, PlainStoredColumn):
+                for value in staged[name]:
+                    column.spec.value_type.validate(value)
+                continue
+            if self._host is None:
+                raise QueryError("no enclave available for inserts")
+            if not all(isinstance(blob, bytes) for blob in staged[name]):
+                raise QueryError(f"encrypted column {name!r} takes PAE blobs")
+            encrypted.append((name, column))
+        with ExitStack() as locks:
+            for _, column in encrypted:
+                locks.enter_context(column.rotation_lock())
+            for name, column in encrypted:
+                staged[name] = self._host.ecall(
+                    "reseal_delta",
+                    table.name,
+                    name,
+                    staged[name],
+                    to_epoch=column.key_epoch,
+                )
+            for name, column in columns:
                 if isinstance(column, PlainStoredColumn):
-                    column.append(payload)
+                    column.delta_values.extend(staged[name])
                 else:
-                    if self._host is None:
-                        raise QueryError("no enclave available for inserts")
-                    column.append_transit_blob(payload, self._host)
-            table.register_insert()
+                    column.extend_delta(staged[name])
+            table.register_inserts(len(prepared_rows))
         return len(prepared_rows)
 
     def delete(self, plan: DeletePlan) -> int:
@@ -667,7 +707,7 @@ class Executor:
             tail_chunks = []
         stats.tail_partitions_added = len(tail_chunks)
 
-        for name, column in zip(table.column_names, columns):
+        for column in columns:
             if isinstance(column, PlainStoredColumn):
                 new_parts: list[DictionaryEncodedColumn] = []
                 for action, index in decisions:
@@ -714,36 +754,46 @@ class Executor:
                             blobs.extend(
                                 column.delta_blobs[int(i)] for i in delta_indices
                             )
-                        build = self._host.ecall(
-                            "rebuild_for_merge",
-                            table.name,
-                            name,
-                            column.spec.protection,
-                            column.spec.value_type,
-                            blobs,
-                            bsmax=column.spec.bsmax,
-                            partition_id=column.partition_ids[index],
-                            key_epoch=column.key_epoch,
+                        new_builds.append(
+                            self._rebuild_partition(
+                                table, column, column.partition_ids[index], blobs
+                            )
                         )
-                        new_builds.append(build)
                         new_ids.append(column.partition_ids[index])
                 for chunk in tail_chunks:
                     partition_id = column.allocate_partition_id()
-                    build = self._host.ecall(
-                        "rebuild_for_merge",
-                        table.name,
-                        name,
-                        column.spec.protection,
-                        column.spec.value_type,
-                        [column.delta_blobs[int(i)] for i in chunk],
-                        bsmax=column.spec.bsmax,
-                        partition_id=partition_id,
-                        key_epoch=column.key_epoch,
+                    new_builds.append(
+                        self._rebuild_partition(
+                            table,
+                            column,
+                            partition_id,
+                            [column.delta_blobs[int(i)] for i in chunk],
+                        )
                     )
-                    new_builds.append(build)
                     new_ids.append(partition_id)
                 column.set_partitions(new_builds, ids=new_ids)
                 column.delta_blobs = []
         table.reset_validity(survivors)
         self.last_merge_stats = stats
         return survivors
+
+    def _rebuild_partition(
+        self,
+        table: Table,
+        column: EncryptedStoredColumn,
+        partition_id: int,
+        blobs: list[bytes],
+    ) -> BuildResult:
+        """One ``rebuild_for_merge`` crossing: ``blobs`` (row order, sealed
+        under the column's storage epoch) become a fresh main partition."""
+        return self._host.ecall(
+            "rebuild_for_merge",
+            table.name,
+            column.spec.name,
+            column.spec.protection,
+            column.spec.value_type,
+            blobs,
+            bsmax=column.spec.bsmax,
+            partition_id=partition_id,
+            key_epoch=column.key_epoch,
+        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.analysis.engine import analyze_paths
@@ -25,3 +26,25 @@ def test_every_suppression_in_src_carries_a_justification():
     for finding in suppressed:
         assert finding.justification, finding.render()
     assert not [f for f in report.findings if f.rule == RULE_BAD_SUPPRESSION]
+
+
+def test_the_column_store_never_holds_an_enclave_handle():
+    """``columnstore/`` stores ciphertext; the boundary is crossed from the
+    DBMS front end, the executor and the migration runner only. No module
+    under ``repro.columnstore`` may import from ``repro.sgx`` (function-level
+    imports included)."""
+    offenders = []
+    for path in sorted((SRC_ROOT / "repro" / "columnstore").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno} imports {module}"
+                for module in modules
+                if module == "repro.sgx" or module.startswith("repro.sgx.")
+            ]
+    assert offenders == []

@@ -50,7 +50,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     # Every column must grow for a row insert; store the delta blob directly
     # (the enclave re-encryption path is exercised in the system tests).
     table.column("v").delta_blobs.append(pae.encrypt(key, b"cc"))
-    table.register_insert()
+    table.register_inserts(1)
     table.delete_rows(np.array([1]))
     path = tmp_path / "db.encdbdb"
     save_database(catalog, path)

@@ -83,10 +83,10 @@ def test_delete_rejects_bad_rids():
 
 def test_register_insert_extends_validity():
     table = _loaded_table()
-    rid = table.register_insert()
-    assert rid == 3
-    assert table.row_count == 4
-    assert table.live_row_count == 4
+    table.delete_rows(np.array([1]))
+    table.register_inserts(2)
+    assert table.row_count == 5
+    assert table.validity.tolist() == [True, False, True, True, True]
 
 
 def test_reset_validity_after_merge():
@@ -130,9 +130,6 @@ def test_plain_column_search_and_delta():
     assert column.search_range("a", "b").tolist() == [0, 2, 3]
     assert column.value_at(3) == "aa"
     assert len(column) == 4
-    column.rebuild(["a", "aa", "b"])
-    assert len(column) == 3
-    assert column.delta_values == []
 
 
 def test_plain_column_rejects_encrypted_spec():

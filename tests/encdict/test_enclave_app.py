@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.columnstore.partition import DELTA_PARTITION_ID
 from repro.columnstore.types import IntegerType, VarcharType
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import derive_column_key
@@ -19,7 +20,11 @@ from repro.encdict.builder import encdb_build
 from repro.encdict.enclave_app import EncDBDBEnclave, encrypt_search_range
 from repro.encdict.options import ALL_KINDS, ED1, ED2, ED9
 from repro.encdict.search import DictionaryAccessor, OrdinalRange
-from repro.exceptions import AttestationError, EnclaveSecurityError
+from repro.exceptions import (
+    AttestationError,
+    AuthenticationError,
+    EnclaveSecurityError,
+)
 from repro.sgx.attestation import AttestationService
 from repro.sgx.channel import SecureChannel
 from repro.sgx.enclave import EnclaveHost
@@ -178,13 +183,53 @@ def test_constant_enclave_memory():
     assert host._enclave.epc.allocated_pages == 0
 
 
-def test_reencrypt_for_delta_changes_ciphertext_not_plaintext():
+_RESEAL_VALUES = [b"new-row-value", b"b", b"a-longer-third-value"]
+
+
+def test_reseal_delta_changes_ciphertext_not_plaintext():
+    """An INSERT's crossing: fresh ciphertext, same values, count, order
+    and blob sizes."""
     host, master_key, pae, rng = _provisioned_host()
     key = derive_column_key(master_key, "t1", "c1")
-    transit = pae.encrypt(key, b"new-row-value")
-    stored = host.ecall("reencrypt_for_delta", "t1", "c1", transit)
-    assert stored != transit
-    assert pae.decrypt(key, stored) == b"new-row-value"
+    transit = [pae.encrypt(key, value) for value in _RESEAL_VALUES]
+    stored = host.ecall("reseal_delta", "t1", "c1", transit)
+    assert set(stored).isdisjoint(transit)
+    assert [pae.decrypt(key, blob) for blob in stored] == _RESEAL_VALUES
+    assert [len(blob) for blob in stored] == [len(blob) for blob in transit]
+    assert host.ecall("reseal_delta", "t1", "c1", []) == []
+
+
+def test_reseal_delta_seals_under_to_epoch():
+    host, master_key, pae, rng = _provisioned_host()
+    transit_key = derive_column_key(master_key, "t1", "c1")
+    epoch_key = derive_column_key(master_key, "t1", "c1", 2)
+    transit = [pae.encrypt(transit_key, value) for value in _RESEAL_VALUES]
+    stored = host.ecall("reseal_delta", "t1", "c1", transit, to_epoch=2)
+    assert [pae.decrypt(epoch_key, blob) for blob in stored] == _RESEAL_VALUES
+    with pytest.raises(AuthenticationError):
+        pae.decrypt(transit_key, stored[0])
+    # The flip's rollback direction: back from the storage epoch.
+    back = host.ecall("reseal_delta", "t1", "c1", stored, from_epoch=2)
+    assert [pae.decrypt(transit_key, blob) for blob in back] == _RESEAL_VALUES
+
+
+def test_reseal_delta_bumps_only_the_delta_partition_epoch():
+    host, master_key, pae, rng = _provisioned_host()
+    key = derive_column_key(master_key, "t1", "c1")
+    enclave = host._enclave
+    host.ecall("reseal_delta", "t1", "c1", [pae.encrypt(key, b"v")] * 3)
+    assert enclave._epoch("t1", "c1", DELTA_PARTITION_ID) == 1
+    assert enclave._epoch("t1", "c1", 0) == 0
+    assert enclave._epoch("t1", "c2", DELTA_PARTITION_ID) == 0
+
+
+def test_reseal_delta_rejects_the_whole_list_on_one_bad_tag():
+    host, master_key, pae, rng = _provisioned_host()
+    key = derive_column_key(master_key, "t1", "c1")
+    transit = [pae.encrypt(key, value) for value in _RESEAL_VALUES]
+    transit[1] = bytes(len(transit[1]))
+    with pytest.raises(AuthenticationError):
+        host.ecall("reseal_delta", "t1", "c1", transit)
 
 
 def test_rebuild_for_merge_produces_searchable_store():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.columnstore.partition import DELTA_PARTITION_ID
 from repro.columnstore.types import VarcharType
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import derive_column_key
@@ -216,7 +217,7 @@ def test_rebuild_for_merge_invalidates_column_cache():
     host.ecall("dict_search", build.dictionary, tau)  # populate the cache
     cache = host._enclave.entry_cache
     assert len(cache) > 0
-    old_epoch = host._enclave._epoch("t1", "c1")
+    old_epoch = host._enclave._epoch("t1", "c1", build.dictionary.partition_id)
 
     merged_values = ["m", "a", "z", "m"]
     blobs = [pae.encrypt(key, vt.to_bytes(v)) for v in merged_values]
@@ -224,7 +225,7 @@ def test_rebuild_for_merge_invalidates_column_cache():
 
     # Epoch bumped, and every surviving key carries the current epoch for
     # some column — none references the merged column's old epoch.
-    new_epoch = host._enclave._epoch("t1", "c1")
+    new_epoch = host._enclave._epoch("t1", "c1", new_build.dictionary.partition_id)
     assert new_epoch == old_epoch + 1
     for cache_key in list(cache._entries):
         assert not (
@@ -240,13 +241,21 @@ def test_rebuild_for_merge_invalidates_column_cache():
     assert records == reference_range_search(merged_values, "a", "m")
 
 
-def test_reencrypt_for_delta_bumps_epoch():
+def test_reseal_delta_bumps_epoch():
+    """An insert advances the delta partition's epoch and leaves the main
+    partition's cached plaintext resident."""
     host, master_key, pae, rng = _provisioned_host(FastPathConfig())
     key = derive_column_key(master_key, "t1", "c1")
-    before = host._enclave._epoch("t1", "c1")
+    build = _build(master_key, pae, rng, VALUES, ED2)
+    tau = _tau(master_key, pae, build.dictionary.value_type, "a", "e")
+    host.ecall("dict_search", build.dictionary, tau)  # warm main partition 0
+    resident = len(host._enclave.entry_cache)
+    assert resident > 0
+    before = host._enclave._epoch("t1", "c1", DELTA_PARTITION_ID)
     transit = pae.encrypt(key, b"inserted")
-    host.ecall("reencrypt_for_delta", "t1", "c1", transit)
-    assert host._enclave._epoch("t1", "c1") == before + 1
+    host.ecall("reseal_delta", "t1", "c1", [transit])
+    assert host._enclave._epoch("t1", "c1", DELTA_PARTITION_ID) == before + 1
+    assert len(host._enclave.entry_cache) == resident
 
 
 def test_restore_master_key_clears_caches():

@@ -11,6 +11,7 @@ that drops or duplicates rows.
 from __future__ import annotations
 
 import threading
+import time
 
 from repro.client.session import EncDBDBSystem
 
@@ -104,3 +105,71 @@ def test_rotation_under_concurrent_reads_and_inserts():
         )
     )
     assert final == base | set(inserted)
+
+
+def test_multi_row_insert_racing_a_key_flip_lands_under_one_epoch(monkeypatch):
+    """An INSERT holds every encrypted column's rotation lock from its first
+    crossing to its commit, so a key flip that arrives mid-statement waits:
+    the statement's rows are re-sealed by the flip as a whole or not at all,
+    never left behind under the old epoch."""
+    system = EncDBDBSystem.create(seed=37)
+    system.execute("CREATE TABLE t (u ED1 INTEGER, v ED3 INTEGER, tag INTEGER)")
+    system.bulk_load(
+        "t",
+        {"u": list(VALUES), "v": list(VALUES), "tag": list(range(ROWS))},
+        partition_rows=PARTITION_ROWS,
+    )
+    system.execute("INSERT INTO t VALUES (1, 1, 1000), (2, 2, 1001)")
+    new_rows = 8
+    statement = "INSERT INTO t VALUES " + ", ".join(
+        f"({i}, {i}, {2000 + i})" for i in range(new_rows)
+    )
+
+    host = system.server.enclave_host
+    original = host.ecall
+    reseals: list[tuple] = []  # (column, blobs, from_epoch, to_epoch)
+    mid_statement = threading.Event()
+    errors: list[BaseException] = []
+
+    def traced(name, *args, **kwargs):
+        if name == "reseal_delta":
+            reseals.append(
+                (args[1], len(args[2]), kwargs.get("from_epoch", 0), kwargs["to_epoch"])
+            )
+            if threading.current_thread() is inserter and args[1] == "v":
+                # u's blobs are re-sealed (epoch 0) but not yet stored:
+                # the window a flip of u must not get into.
+                mid_statement.set()
+                time.sleep(0.2)
+        return original(name, *args, **kwargs)
+
+    def insert() -> None:
+        try:
+            system.execute(statement)
+        except BaseException as exc:
+            errors.append(exc)
+
+    monkeypatch.setattr(host, "ecall", traced)
+    inserter = threading.Thread(target=insert)
+
+    status = system.server.migrate_start("t", "u", rotate_key=True)
+    while status.phase != "finalize":
+        status = system.server.migrate_step("t", "u")
+    inserter.start()
+    assert mid_statement.wait(timeout=30)
+    while status.state == "running":
+        status = system.server.migrate_step("t", "u")
+    inserter.join(timeout=30)
+    assert not inserter.is_alive() and not errors, errors
+    assert status.state == "done", status.error
+
+    # The statement crossed under the old epoch and the flip, made to wait,
+    # carried all of its rows over together with the two earlier ones.
+    assert [call for call in reseals if call[0] == "u"] == [
+        ("u", new_rows, 0, 0),
+        ("u", 2 + new_rows, 0, 1),
+    ]
+    column = system.server.catalog.table("t").column("u")
+    assert column.key_epoch == 1 and len(column.delta_blobs) == 2 + new_rows
+    tags = {row[0] for row in system.query("SELECT tag FROM t WHERE u >= 0").rows}
+    assert tags == set(range(ROWS)) | {1000, 1001} | {2000 + i for i in range(new_rows)}

@@ -16,7 +16,11 @@ datasets that differ **only in protected values** and assert:
 - the pushdown GROUP BY response pads its group frames to a power of
   two: group counts inside one padding bucket produce identical response
   shapes, counts crossing a bucket boundary differ (the declared
-  power-of-two residual).
+  power-of-two residual);
+- a multi-row INSERT is one ``reseal_delta`` crossing per encrypted
+  column: shifted values give identical traces, the row count shows only
+  as the length of the blob lists, and a reseal that changed a blob's
+  size would be a violation for an INSERT as for a key flip.
 
 Only the *empty* and *full-covering* queries run in the cardinality
 pairs: a selective range would match different row counts on the two
@@ -184,3 +188,58 @@ def test_groupby_counts_across_padding_buckets_differ():
     assert aggregate_response_shapes(
         run_groupby(4)
     ) != aggregate_response_shapes(run_groupby(5))
+
+
+# ----------------------------------------------------------------------
+# The write path: one ``reseal_delta`` crossing per encrypted column
+# ----------------------------------------------------------------------
+
+
+def run_insert(rows: int, *, shift: int = 0):
+    """One multi-row INSERT into two encrypted columns; its ecall events."""
+    system = EncDBDBSystem.create(seed=7)
+    system.execute("CREATE TABLE w (k ED5 INTEGER BSMAX 4, d ED1 INTEGER, tag INTEGER)")
+    values = ", ".join(
+        f"({100 + 7 * i + shift}, {i % 3 + shift}, {i})" for i in range(rows)
+    )
+    with capture_trace() as trace:
+        system.execute(f"INSERT INTO w VALUES {values}")
+    events = [event for event in trace if event.channel == "ecall"]
+    assert [event.name for event in events] == ["reseal_delta", "reseal_delta"]
+    return events
+
+
+def test_inserts_of_shifted_values_are_trace_identical():
+    """Same row count, every value displaced: the provider sees the same
+    two crossings with the same blob counts and sizes."""
+    assert run_insert(5) == run_insert(5, shift=1000)
+
+
+def test_insert_row_count_shows_only_as_list_length():
+    """The row count of a statement is already wire-visible; it is the only
+    thing that separates a 5-row crossing from an 8-row one."""
+    for small, large in zip(run_insert(5), run_insert(8)):
+        (_, _, (table_s, column_s, blobs_s)), kwargs_s, result_s = small.shape
+        (_, _, (table_l, column_l, blobs_l)), kwargs_l, result_l = large.shape
+        assert (table_s, column_s, kwargs_s) == (table_l, column_l, kwargs_l)
+        assert blobs_s == result_s and blobs_l == result_l
+        assert (blobs_s[1], blobs_l[1]) == (5, 8)
+        assert len(set(blobs_s[2])) == 1 and set(blobs_s[2]) == set(blobs_l[2])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"to_epoch": 1}, {"from_epoch": 0, "to_epoch": 1}],
+    ids=["insert", "key-flip"],
+)
+def test_reseal_size_vector_invariant_fires(kwargs):
+    """A reseal that changes any blob's size — for an INSERT's crossing as
+    for a key flip — is a shaping violation; a size-preserving one is not."""
+    from repro.analysis.leakoracle import LeakOracle
+
+    oracle = LeakOracle()  # not installed: the invariant is checked directly
+    blobs = [bytes(40), bytes(44)]
+    oracle._check_ecall("reseal_delta", ("w", "k", blobs), kwargs, [bytes(40), bytes(44)])
+    assert oracle.report.drain() == []
+    oracle._check_ecall("reseal_delta", ("w", "k", blobs), kwargs, [bytes(40), bytes(45)])
+    assert [v.invariant for v in oracle.report.drain()] == ["reseal-delta-sizes"]

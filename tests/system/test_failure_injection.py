@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro import EncDBDBSystem
-from repro.exceptions import AuthenticationError, StorageError
+from repro.exceptions import (
+    AuthenticationError,
+    CatalogError,
+    QueryError,
+    StorageError,
+)
 
 
 @pytest.fixture
@@ -147,3 +152,74 @@ def test_imposter_proxy_key_cannot_read(system):
     imposter.register_schema("t", system.server.catalog.table("t").specs)
     with pytest.raises(AuthenticationError):
         imposter.execute("SELECT name FROM t WHERE name != 'zzz'")
+
+
+# ----------------------------------------------------------------------
+# A rejected INSERT leaves no trace
+# ----------------------------------------------------------------------
+# ``prepared_rows`` arrives over the wire. The statement is the unit: the
+# executor validates every row and re-seals every blob before any column
+# grows, so a bad value anywhere in the statement must leave the table
+# exactly as it was — a half-applied statement misaligns the columns and
+# every later INSERT reads back as a row nobody inserted.
+
+_SEED_ROWS = [(1, "x", 10), (2, "y", 20)]
+
+
+@pytest.fixture(params=["in-process", "tcp"])
+def insert_target(request):
+    """``(system, dbms)``: the client session and the DBMS it talks to."""
+    if request.param == "in-process":
+        system = EncDBDBSystem.create(seed=321)
+        yield system, system.server
+        return
+    from repro.net.server import NetServer, ServerThread
+
+    with ServerThread(NetServer()) as handle:
+        with EncDBDBSystem.connect("127.0.0.1", handle.port, seed=321) as system:
+            yield system, handle.server.dbms
+
+
+def _garbage_blob(rows):
+    rows[1]["c"] = bytes(len(rows[1]["c"]))
+    return AuthenticationError
+
+
+def _wrong_typed_plaintext(rows):
+    rows[2]["a"] = "three"
+    return CatalogError
+
+
+def _missing_column(rows):
+    del rows[2]["b"]
+    return QueryError
+
+
+@pytest.mark.parametrize(
+    "spoil", [_garbage_blob, _wrong_typed_plaintext, _missing_column]
+)
+def test_rejected_insert_leaves_no_trace(insert_target, spoil):
+    system, dbms = insert_target
+    system.execute("CREATE TABLE t (a INTEGER, b ED5 VARCHAR(8), c ED1 INTEGER)")
+    system.execute("INSERT INTO t VALUES (1, 'x', 10), (2, 'y', 20)")
+    table = dbms.catalog.table("t")
+
+    rows = [
+        system.proxy._prepare_row("t", {"a": 3, "b": "z", "c": 30})
+        for _ in range(3)
+    ]
+    expected_error = spoil(rows)
+    with pytest.raises(expected_error):
+        system.server.execute_insert("t", rows)
+
+    assert table.row_count == 2
+    assert {name: len(table.column(name)) for name in table.column_names} == {
+        "a": 2,
+        "b": 2,
+        "c": 2,
+    }
+    assert system.query("SELECT a, b, c FROM t").rows == _SEED_ROWS
+
+    system.execute("INSERT INTO t VALUES (4, 'w', 40)")
+    assert system.query("SELECT a, b, c FROM t WHERE c = 40").rows == [(4, "w", 40)]
+    assert system.query("SELECT a, b, c FROM t").rows == _SEED_ROWS + [(4, "w", 40)]
