@@ -423,24 +423,29 @@ class Proxy:
     def _decrypt_result_columns(self, result: ServerResult) -> dict[str, list]:
         """Decrypt every returned column using its attached metadata
         (paper §4.2 step 14: the proxy derives each column's key from the
-        table/column names the result renderer attached)."""
+        table/column names the result renderer attached).
+
+        An encrypted column arrives as its distinct referenced entries plus
+        a per-row index: every shipped entry is authenticated and decoded
+        once, then the index fans the values out to the rows.
+        """
         decrypted: dict[str, list] = {}
         for key_name, column in result.columns.items():
             if column.encrypted:
+                index = column.row_index(result.row_count)
                 key = self._column_key(
-                    column.table_name,
-                    column.column_name,
-                    getattr(column, "key_epoch", 0),
+                    column.table_name, column.column_name, column.key_epoch
                 )
                 value_type = (
                     self._schema.table(column.table_name)
                     .spec(column.column_name)
                     .value_type
                 )
-                decrypted[key_name] = [
-                    value_type.from_bytes(self._pae.decrypt(key, blob))
-                    for blob in column.data
+                values = [
+                    value_type.from_bytes(plaintext)
+                    for plaintext in self._pae.decrypt_many(key, column.data)
                 ]
+                decrypted[key_name] = [values[i] for i in index.tolist()]
             else:
                 decrypted[key_name] = list(column.data)
         return decrypted

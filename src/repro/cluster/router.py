@@ -617,7 +617,11 @@ class ClusterRouter(VerbClient):
     ) -> ServerResult:
         """Union per-shard results exactly as a single node unions its
         per-partition results: concatenate in (shard =) partition order and
-        rebase shard-local RecordIDs by the span's ``row_base``."""
+        rebase shard-local RecordIDs by the span's ``row_base``.
+
+        An encrypted column's entry tables concatenate too, each shard's
+        row index offset by the entries shipped before it — the same
+        re-encoding a single node applies across its partitions."""
         record_ids: list[np.ndarray] = []
         columns: dict[str, ResultColumn] = {}
         for span, result in zip(spans, results):
@@ -626,24 +630,32 @@ class ClusterRouter(VerbClient):
             for name, column in result.columns.items():
                 merged = columns.get(name)
                 if merged is None:
-                    columns[name] = ResultColumn(
+                    merged = columns[name] = ResultColumn(
                         column.table_name,
                         column.column_name,
                         column.encrypted,
-                        list(column.data),
-                        key_epoch=getattr(column, "key_epoch", 0),
+                        [],
+                        key_epoch=column.key_epoch,
+                        index=np.empty(0, dtype=np.int32) if column.encrypted else None,
                     )
-                else:
-                    if getattr(column, "key_epoch", 0) != merged.key_epoch:
-                        # Shards rotate independently; a scatter that lands
-                        # mid-flip on one shard would need per-span epochs.
-                        # Refuse rather than hand the proxy undecryptable
-                        # blobs under one stamped epoch.
-                        raise ClusterError(
-                            f"column {name!r}: shards answered with mixed "
-                            "key epochs; retry after the rotation settles"
-                        )
-                    merged.data.extend(column.data)
+                elif column.key_epoch != merged.key_epoch:
+                    # Shards rotate independently; a scatter that lands
+                    # mid-flip on one shard would need per-span epochs.
+                    # Refuse rather than hand the proxy undecryptable
+                    # blobs under one stamped epoch.
+                    raise ClusterError(
+                        f"column {name!r}: shards answered with mixed "
+                        "key epochs; retry after the rotation settles"
+                    )
+                if column.encrypted:
+                    # Validate before offsetting: a shard's negative index
+                    # must not turn into a valid one into another shard's
+                    # entries.
+                    index = column.row_index(result.row_count)
+                    merged.index = np.concatenate(
+                        [merged.index, index.astype(np.int32) + len(merged.data)]
+                    )
+                merged.data.extend(column.data)
         merged_ids = (
             np.concatenate(record_ids)
             if record_ids

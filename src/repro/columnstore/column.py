@@ -513,35 +513,58 @@ class EncryptedStoredColumn:
         with self._shadow_lock:
             return list(self.partition_builds), list(self.delta_blobs), self.key_epoch
 
-    def blob_at(
-        self,
-        record_id: int,
-        builds: Sequence[BuildResult] | None = None,
-        delta_blobs: Sequence[bytes] | None = None,
-    ) -> bytes:
-        """Tuple reconstruction: the PAE blob of one global RecordID.
+    def render_entries(
+        self, record_ids: np.ndarray
+    ) -> tuple[list[bytes], np.ndarray, int]:
+        """Tuple reconstruction, column at a time: ``(entries, index,
+        key_epoch)`` for the given global RecordIDs (paper §4.2 step 12).
 
-        ``builds`` / ``delta_blobs`` pin the lookup to a
-        :meth:`render_view` so a multi-row
-        render never mixes partition versions (and thus key epochs) while an
-        online rotation swaps partitions underneath it.
+        ``entries`` holds each referenced dictionary entry once and
+        ``index`` (int32, one per row) points every row at its entry, so
+        row ``i``'s blob is ``entries[index[i]]``. The dedup key is
+        *(partition, ValueID)* — never the plaintext, and blobs of different
+        entries are never compared — so a frequency-smoothing kind still
+        ships its duplicate entries as distinct blobs, and a frequency-hiding
+        kind (one entry per row) ships one entry per row. Delta rows are
+        their own ValueIDs (the ED9 delta dictionary has one entry per row).
+        Entries come in partition order, then ValueID order; the delta
+        follows the main partitions.
+
+        Everything is read from one :meth:`render_view`, so a render never
+        mixes partition versions (and thus key epochs) while an online
+        rotation swaps partitions underneath it.
         """
-        if builds is None:
-            builds = self.partition_builds
-        if delta_blobs is None:
-            delta_blobs = self.delta_blobs
-        main_length = sum(len(build.attribute_vector) for build in builds)
-        if record_id < main_length:
-            start = 0
-            for build in builds:
-                if record_id < start + len(build.attribute_vector):
-                    vid = int(build.attribute_vector[record_id - start])
-                    return build.dictionary.entry(vid)
-                start += len(build.attribute_vector)
-        delta_index = record_id - main_length
-        if delta_index >= len(delta_blobs):
-            raise QueryError(f"RecordID {record_id} out of range")
-        return delta_blobs[delta_index]
+        builds, delta_blobs, key_epoch = self.render_view()
+        record_ids = np.asarray(record_ids, dtype=np.int64)
+        lengths = [len(build.attribute_vector) for build in builds]
+        ends = np.cumsum(lengths, dtype=np.int64)
+        main_length = int(ends[-1]) if len(ends) else 0
+        if len(record_ids) and (
+            int(record_ids.min()) < 0
+            or int(record_ids.max()) >= main_length + len(delta_blobs)
+        ):
+            raise QueryError("RecordID out of range")
+        # Store of every row: main partition p, or len(builds) for the delta.
+        stores = np.searchsorted(ends, record_ids, side="right")
+        entries: list[bytes] = []
+        index = np.empty(len(record_ids), dtype=np.int32)
+        for store in np.unique(stores).tolist():
+            rows = np.flatnonzero(stores == store)
+            if store < len(builds):
+                build = builds[store]
+                local = record_ids[rows] - (int(ends[store]) - lengths[store])
+                vids, inverse = np.unique(
+                    build.attribute_vector[local], return_inverse=True
+                )
+                blobs = [build.dictionary.entry(vid) for vid in vids.tolist()]
+            else:
+                positions, inverse = np.unique(
+                    record_ids[rows] - main_length, return_inverse=True
+                )
+                blobs = [delta_blobs[position] for position in positions.tolist()]
+            index[rows] = inverse.reshape(-1) + len(entries)
+            entries.extend(blobs)
+        return entries, index, key_epoch
 
     def partition_blobs(
         self, index: int, keep: np.ndarray | None = None

@@ -56,7 +56,7 @@ from repro.sql.result import (
     ServerResult,
 )
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAGIC = b"EDBN"
 HEADER = struct.Struct(">4sBBI")
 
@@ -189,10 +189,13 @@ _register(MergePlan, ("table",))
 
 # Results (ciphertext columns + metadata, paper §4.2 step 13) -----------------
 # ``key_epoch`` rides along so the proxy can derive the storage-epoch column
-# key after an online key rotation (repro.migrate) finalizes.
+# key after an online key rotation (repro.migrate) finalizes. An encrypted
+# column ships its distinct referenced entries in ``data`` plus the per-row
+# ``index`` into them (protocol version 2; version 1 shipped one blob per
+# row, so a version-1 peer is refused at HELLO rather than misread).
 _register(
     ResultColumn,
-    ("table_name", "column_name", "encrypted", "data", "key_epoch"),
+    ("table_name", "column_name", "encrypted", "data", "key_epoch", "index"),
 )
 _register(ServerResult, ("table_name", "record_ids", "columns"))
 

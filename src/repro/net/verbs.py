@@ -104,6 +104,17 @@ class Verb:
 
 _MIGRATION_FRAME = "typed MigrationStatus progress frame"
 
+#: A rendered row result. Each encrypted column ships its distinct
+#: referenced dictionary entries plus one entry index per row — a bijective
+#: re-encoding of the per-row blobs (entries are deduplicated by
+#: (partition, ValueID) and every entry's blob is unique), so the distinct
+#: count per column is the one figure the frame states outright.
+_ROW_FRAME = (
+    "result frame byte size; row count; per encrypted column the count of "
+    "distinct referenced dictionary entries (partition, ValueID) and one "
+    "entry index per row"
+)
+
 #: The whole RPC surface, by name. Everything else is rejected on the wire.
 VERBS: dict[str, Verb] = {
     verb.name: verb
@@ -112,12 +123,13 @@ VERBS: dict[str, Verb] = {
         Verb("create_table", ECALL, EVERY_SHARD, "schema shape (names, kinds, widths)"),
         Verb("bulk_load", FREE, UNROUTED, "ciphertext partition sizes and counts"),
         # Query execution
-        Verb("execute_select", ECALL, CUSTOM, "result frame byte size; encrypted rows"),
+        Verb("execute_select", ECALL, CUSTOM, _ROW_FRAME),
         Verb(
             "execute_select_pushdown",
             ECALL,
             CUSTOM,
-            "padded group-frame count and uniform frame size (see aggregate_groups)",
+            "padded group-frame count and uniform frame size (see aggregate_groups); "
+            "row shipping and ORDER BY pushdown as execute_select: " + _ROW_FRAME,
         ),
         Verb(
             "explain_pushdown",
@@ -125,7 +137,7 @@ VERBS: dict[str, Verb] = {
             CUSTOM,
             "plan routing text — operator names and cost classes only, never values",
         ),
-        Verb("execute_join_select", ECALL, CUSTOM, "joined result frame byte size"),
+        Verb("execute_join_select", ECALL, CUSTOM, "joined " + _ROW_FRAME),
         Verb("execute_insert", ECALL, TAIL_BROADCAST, "one ack; delta append count"),
         Verb("execute_delete", ECALL, SHARDS_SUM, "deleted-row count"),
         Verb("delete_record_ids", ECALL, CUSTOM, "deleted-row count"),

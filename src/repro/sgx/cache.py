@@ -36,6 +36,18 @@ from repro.sgx.costs import CostModel
 from repro.sgx.memory import EpcModel
 
 
+#: Key-prefix width of the invalidation index: ``(table, column, partition)``.
+GROUP_WIDTH = 3
+
+
+def _group_of(key: Hashable) -> tuple:
+    """A key's invalidation group: its ``GROUP_WIDTH`` prefix, or ``()`` for
+    non-tuple and shorter keys."""
+    if isinstance(key, tuple) and len(key) >= GROUP_WIDTH:
+        return key[:GROUP_WIDTH]
+    return ()
+
+
 @dataclass
 class CacheStats:
     """Observable (non-secret) counters of one :class:`EnclaveLruCache`."""
@@ -87,6 +99,10 @@ class EnclaveLruCache:
         self._allocation = epc.allocate(self._budget) if epc is not None else None
         self._lock = threading.RLock()
         self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()  # guarded-by: self._lock
+        # Resident keys per ``(table, column, partition)`` group (see
+        # _group_of): a partition's invalidation drops one group instead of
+        # scanning every resident key. Holds exactly the keys of _entries.
+        self._groups: dict[tuple, set] = {}  # guarded-by: self._lock
         self._used = 0  # guarded-by: self._lock
         self.stats = CacheStats()  # guarded-by: self._lock
 
@@ -136,8 +152,11 @@ class EnclaveLruCache:
             previous = self._entries.pop(key, None)
             if previous is not None:
                 self._used -= previous[1]
+            else:
+                self._groups.setdefault(_group_of(key), set()).add(key)
             while self._used + nbytes > self._budget:
-                _, (_, evicted_bytes) = self._entries.popitem(last=False)
+                evicted_key, (_, evicted_bytes) = self._entries.popitem(last=False)
+                self._unindex(evicted_key)
                 self._used -= evicted_bytes
                 self.stats.evictions += 1
                 if self._cost is not None:
@@ -151,15 +170,27 @@ class EnclaveLruCache:
             self.stats.peak_bytes = max(self.stats.peak_bytes, self._used)
             return True
 
+    def _unindex(self, key: Hashable) -> None:
+        with self._lock:
+            group = _group_of(key)
+            members = self._groups[group]
+            members.discard(key)
+            if not members:
+                del self._groups[group]
+
+    def _drop(self, keys: list) -> int:
+        with self._lock:
+            for key in keys:
+                _, nbytes = self._entries.pop(key)
+                self._unindex(key)
+                self._used -= nbytes
+            self.stats.invalidations += len(keys)
+            return len(keys)
+
     def invalidate(self, predicate: Callable[[Hashable], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``."""
         with self._lock:
-            doomed = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                _, nbytes = self._entries.pop(key)
-                self._used -= nbytes
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
+            return self._drop([key for key in self._entries if predicate(key)])
 
     def invalidate_prefix(self, prefix: tuple) -> int:
         """Drop every tuple key starting with ``prefix``.
@@ -167,41 +198,39 @@ class EnclaveLruCache:
         Cache keys are structured ``(table, column, partition, epoch,
         blob)``, so a ``(table, column, partition)`` prefix evicts exactly
         one partition's worth of cached plaintext — the partition-granular
-        eviction the incremental merge relies on. Non-tuple keys (foreign
-        users of the cache) are never matched.
+        eviction the incremental merge relies on — and drops that
+        partition's index group without looking at any other key. Other
+        widths scan. Non-tuple keys (foreign users of the cache) are never
+        matched.
         """
         width = len(prefix)
+        if width == GROUP_WIDTH:
+            with self._lock:
+                return self._drop(list(self._groups.get(tuple(prefix), ())))
         return self.invalidate(
             lambda key: isinstance(key, tuple)
             and len(key) >= width
             and key[:width] == prefix
         )
 
-    def group_usage(self, prefix_width: int = 3) -> dict[tuple, int]:
-        """Resident bytes per key-prefix group (EPC accounting).
-
-        With the structured keys above and the default width this reports
-        bytes held per ``(table, column, partition)`` — how much of the
-        enclave's cache budget each partition currently occupies. Non-tuple
-        or short keys are pooled under the empty group ``()``.
+    def group_usage(self) -> dict[tuple, int]:
+        """Resident bytes per ``(table, column, partition)`` group (EPC
+        accounting): how much of the enclave's cache budget each partition
+        currently occupies, read off the invalidation index. Non-tuple or
+        short keys are pooled under the empty group ``()``.
         """
-        usage: dict[tuple, int] = {}
         with self._lock:
-            entries = list(self._entries.items())
-        for key, (_, nbytes) in entries:
-            group = (
-                key[:prefix_width]
-                if isinstance(key, tuple) and len(key) >= prefix_width
-                else ()
-            )
-            usage[group] = usage.get(group, 0) + nbytes
-        return usage
+            return {
+                group: sum(self._entries[key][1] for key in members)
+                for group, members in self._groups.items()
+            }
 
     def clear(self) -> int:
         """Drop everything (e.g. on re-provisioning of key material)."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
+            self._groups.clear()
             self._used = 0
             self.stats.invalidations += dropped
             return dropped

@@ -293,12 +293,14 @@ class Executor:
         if isinstance(column, PlainStoredColumn):
             data: list[Any] = [column.value_at(int(rid)) for rid in record_ids]
             return ResultColumn(table.name, name, encrypted=False, data=data)
-        builds, delta_blobs, key_epoch = column.render_view()
-        blobs = [
-            column.blob_at(int(rid), builds, delta_blobs) for rid in record_ids
-        ]
+        entries, index, key_epoch = column.render_entries(record_ids)
         return ResultColumn(
-            table.name, name, encrypted=True, data=blobs, key_epoch=key_epoch
+            table.name,
+            name,
+            encrypted=True,
+            data=entries,
+            key_epoch=key_epoch,
+            index=index,
         )
 
     # ------------------------------------------------------------------

@@ -1,9 +1,18 @@
 """Result rendering (paper §4.2 steps 12-13).
 
-The server's result renderer undoes the dictionary split for every matching
-RecordID — ``eC = (eD[AV[i]] for i in rid)`` — and attaches the table and
-column metadata the proxy needs to derive each column's key and decrypt.
-Encrypted columns come back as PAE blobs, plaintext columns as values.
+The server's result renderer undoes the dictionary split for the matching
+RecordIDs and attaches the table and column metadata the proxy needs to
+derive each column's key and decrypt. Plaintext columns come back as one
+value per row. An encrypted column comes back in the dictionary-encoded
+form the store already holds: ``data`` carries each *referenced*
+dictionary entry once (PAE blobs, deduplicated by (partition, ValueID)) and
+``index`` one int32 per row, so row ``i``'s blob is ``data[index[i]]`` and
+the proxy decrypts once per entry rather than once per row.
+
+That frame is a bijective re-encoding of the per-row one: the per-row
+blobs are ``[data[i] for i in index]``, and since every entry's blob is
+unique (fresh IVs), ``index`` follows from the per-row blobs by blob
+equality. Neither side learns anything the other frame did not show.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.exceptions import QueryError
+
 
 @dataclass
 class ResultColumn:
@@ -21,14 +32,46 @@ class ResultColumn:
     table_name: str
     column_name: str
     encrypted: bool
-    #: PAE blobs when ``encrypted`` else plaintext values, one per result row.
+    #: Distinct referenced PAE blobs when ``encrypted``, else plaintext
+    #: values, one per result row.
     data: list
     #: Storage-key epoch the blobs are sealed under (0 until a key rotation
     #: has finalized); the proxy derives the matching column key from it.
     key_epoch: int = 0
+    #: Encrypted columns only: int32 per result row, the row's position in
+    #: ``data``.
+    index: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.data)
+        """The number of result rows."""
+        return len(self.data) if self.index is None else len(self.index)
+
+    def row_index(self, rows: int) -> np.ndarray:
+        """The per-row entry index of an encrypted column, validated.
+
+        The index comes from the untrusted server: it must be a 1-D integer
+        array with one position per result row, each inside ``data``.
+        Anything else is refused with a :class:`QueryError` — never an
+        ``IndexError``, and never a silent wrap of a negative position.
+        """
+        index = self.index
+        name = f"{self.table_name}.{self.column_name}"
+        if (
+            not isinstance(index, np.ndarray)
+            or index.ndim != 1
+            or index.dtype.kind not in "iu"
+        ):
+            raise QueryError(f"result column {name} lacks an integer row index")
+        if len(index) != rows:
+            raise QueryError(
+                f"result column {name} indexes {len(index)} rows, expected {rows}"
+            )
+        if len(index) and (index.min() < 0 or index.max() >= len(self.data)):
+            raise QueryError(
+                f"result column {name} indexes outside its "
+                f"{len(self.data)} entries"
+            )
+        return index
 
 
 @dataclass

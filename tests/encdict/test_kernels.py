@@ -185,7 +185,7 @@ def test_packed_array_is_epc_accounted():
     build = harness.build(VALUE_SETS["distinct"], ED3)
     cache = EnclaveLruCache(budget_bytes=1 << 20)
     packed = _accessor(harness, build, cache=cache).packed_ordinals(fill=True)
-    usage = cache.group_usage(prefix_width=3)
+    usage = cache.group_usage()
     assert sum(usage.values()) == kernels.packed_footprint(packed)
 
 

@@ -162,6 +162,17 @@ def test_server_result_roundtrip():
     assert decoded.columns["c"].data == [b"ct-1", b"ct-2", b"ct-3"]
 
 
+def test_encrypted_result_column_index_roundtrip():
+    column = ResultColumn(
+        "t", "c", True, [b"ct-a", b"ct-b"], index=np.array([1, 0, 1], dtype=np.int32)
+    )
+    decoded = roundtrip(ServerResult("t", np.arange(3), {"c": column}))
+    assert decoded.columns["c"].data == [b"ct-a", b"ct-b"]
+    assert decoded.columns["c"].index.dtype == np.int32
+    assert decoded.columns["c"].index.tolist() == [1, 0, 1]
+    assert len(decoded.columns["c"]) == 3
+
+
 def test_unregistered_type_rejected_on_encode():
     class Unknown:
         pass

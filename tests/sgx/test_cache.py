@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import sys
+import threading
 
 import pytest
 
@@ -167,3 +169,83 @@ def test_group_usage_reports_bytes_per_partition():
     assert usage[("t", "c", 0)] == 25
     assert usage[("t", "c", 1)] == 20
     assert usage[()] == 7
+
+
+def _assert_index_consistent(cache: EnclaveLruCache) -> None:
+    """The partition index holds exactly the resident keys, each in its
+    own group, and the per-group bytes add up to ``used_bytes``."""
+    indexed = [key for members in cache._groups.values() for key in members]
+    assert sorted(map(repr, indexed)) == sorted(map(repr, cache._entries))
+    for group, members in cache._groups.items():
+        assert members
+        for key in members:
+            if isinstance(key, tuple) and len(key) >= 3:
+                assert key[:3] == group
+            else:
+                assert group == ()
+    assert sum(cache.group_usage().values()) == cache.used_bytes
+
+
+def test_partition_index_tracks_put_replace_and_evict():
+    cache = EnclaveLruCache(budget_bytes=100)
+    cache.put(("t", "c", 0, 1, b"a"), 1, 30)
+    cache.put(("t", "c", 0, 1, b"a"), 1, 20)  # replace: still one key
+    cache.put(("t", "c", 1, 1, b"a"), 2, 30)
+    cache.put("plain", 3, 30)
+    _assert_index_consistent(cache)
+    cache.put(("t", "d", 0, 1, b"a"), 4, 40)  # evicts partition 0's only key
+    assert cache.stats.evictions == 1
+    assert ("t", "c", 0) not in cache.group_usage()
+    _assert_index_consistent(cache)
+
+
+def test_partition_index_tracks_invalidate_and_clear():
+    cache = EnclaveLruCache(budget_bytes=1000)
+    for partition in range(3):
+        for blob in (b"x", b"y"):
+            cache.put(("t", "c", partition, 1, blob), partition, 10)
+    cache.put(("t",), 9, 10)
+    assert cache.invalidate(lambda key: key[-1] == b"y") == 3
+    _assert_index_consistent(cache)
+    assert cache.invalidate_prefix(("t", "c", 1)) == 1
+    assert cache.invalidate_prefix(("t", "c", 1)) == 0
+    assert cache.invalidate_prefix(("t", "c")) == 2  # narrower prefix: scans
+    _assert_index_consistent(cache)
+    assert cache.group_usage() == {(): 10}
+    assert cache.clear() == 1
+    assert cache._groups == {}
+    _assert_index_consistent(cache)
+
+
+def test_partition_index_consistent_under_concurrent_writers():
+    """Fills, LRU evictions and partition drops from several threads keep
+    the index equal to the resident key set (the race-smoke CI job runs
+    this under the runtime race detector)."""
+    cache = EnclaveLruCache(budget_bytes=2000, cost_model=CostModel())
+    threads = 4  # more than the cores of a small CI runner
+    barrier = threading.Barrier(threads)
+
+    def worker(index: int) -> None:
+        barrier.wait()
+        for i in range(400):
+            key = ("t", f"c{index % 2}", i % 5, 0, bytes([index, i % 256]))
+            cache.put(key, i, 16)
+            cache.get(key)
+            if i % 25 == 0:
+                cache.invalidate_prefix(("t", f"c{index % 2}", i % 5))
+            if i % 97 == 0:
+                cache.group_usage()
+
+    pool = [threading.Thread(target=worker, args=(n,)) for n in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert cache.stats.evictions > 0
+    _assert_index_consistent(cache)

@@ -77,7 +77,7 @@ def test_swapped_result_blob_detected_at_proxy(system):
         score_column = system.server.catalog.table("t").column("score")
         for column in result.columns.values():
             if column.encrypted and column.data:
-                column.data[0] = score_column.blob_at(0)
+                column.data[0] = score_column.partition_blobs(0)[0]
         return result
 
     system.server.execute_select = substitute
