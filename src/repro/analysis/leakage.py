@@ -134,7 +134,9 @@ ECALL_CONTRACTS: dict[str, LeakageContract] = dict(
         _ecall(
             "rebuild_for_merge",
             "a freshly built encrypted dictionary + attribute vector; "
-            "entry order decorrelated by an oblivious shuffle",
+            "entry order decorrelated by an oblivious shuffle. Its inputs "
+            "are the host's own stored (dictionary, ValueIDs) per store — "
+            "a re-encoding of the surviving rows' per-row blobs",
             "_build_partition",
             "oblivious_shuffle",
         ),

@@ -161,6 +161,21 @@ class PlainStoredColumn:
                 return part.value_at(record_id - start)
         raise IndexError(f"RecordID {record_id} out of range")
 
+    def values_at(self, record_ids: np.ndarray) -> list[Any]:
+        """:meth:`value_at` of ascending global RecordIDs, one store at a
+        time: a single pass over the layout instead of one per row."""
+        values: list[Any] = []
+        start = 0
+        for part in self.partitions:
+            end = start + len(part)
+            local = record_ids[(record_ids >= start) & (record_ids < end)] - start
+            dictionary = part.dictionary
+            values.extend(dictionary[vid] for vid in part.attribute_vector[local].tolist())
+            start = end
+        delta = (record_ids[record_ids >= start] - start).tolist()
+        values.extend(self.delta_values[position] for position in delta)
+        return values
+
     def search_prefix(self, prefix: str) -> np.ndarray:
         """Global RecordIDs whose value starts with ``prefix``.
 
@@ -395,16 +410,17 @@ class EncryptedStoredColumn:
     def ordinal_segments(
         self, record_ids: np.ndarray
     ) -> list[tuple[EncryptedDictionary, np.ndarray]]:
-        """Per-store ``(dictionary, ValueIDs)`` of the given rows (PR 9).
+        """Per-store ``(dictionary, ValueIDs)`` of the given rows.
 
         The ordinal-domain view the aggregation pushdown feeds to the
-        ``aggregate_groups`` ecall: for each store holding at least one of
-        the (sorted, global) ``record_ids`` — main partitions in order, then
-        the delta — the dictionary reference plus the rows' ValueIDs in
-        RecordID order. Delta "ValueIDs" are the row positions themselves
-        (the ED9 delta dictionary has one entry per row). All columns of a
-        table share one partition layout, so calling this on several columns
-        with the same ``record_ids`` yields row-aligned segment lists.
+        ``aggregate_groups`` ecall and the merge to ``rebuild_for_merge``:
+        for each store holding at least one of the (sorted, global)
+        ``record_ids`` — main partitions in order, then the delta — the
+        dictionary reference plus the rows' ValueIDs in RecordID order.
+        Delta "ValueIDs" are the row positions themselves (the ED9 delta
+        dictionary has one entry per row). All columns of a table share one
+        partition layout, so calling this on several columns with the same
+        ``record_ids`` yields row-aligned segment lists.
         """
         builds, delta_blobs, key_epoch = self.render_view()
         record_ids = np.asarray(record_ids, dtype=np.int64)
@@ -565,18 +581,6 @@ class EncryptedStoredColumn:
             index[rows] = inverse.reshape(-1) + len(entries)
             entries.extend(blobs)
         return entries, index, key_epoch
-
-    def partition_blobs(
-        self, index: int, keep: np.ndarray | None = None
-    ) -> list[bytes]:
-        """Row-order blobs of one main partition (``keep`` masks survivors)."""
-        build = self.partition_builds[index]
-        dictionary = build.dictionary
-        return [
-            dictionary.entry(int(vid))
-            for offset, vid in enumerate(build.attribute_vector)
-            if keep is None or keep[offset]
-        ]
 
     # -- online rotation (repro.migrate) ---------------------------------
     @property

@@ -472,9 +472,44 @@ class EncDBDBEnclave(Enclave):
         from_key = self._column_key(table_name, column_name, from_epoch)
         to_key = self._column_key(table_name, column_name, to_epoch)
         plaintexts = self._pae.decrypt_many(from_key, list(blobs))
-        for blob in blobs:
-            self.cost_model.record_decryption(len(blob))
+        self.cost_model.record_decryption_batch(len(blobs), sum(map(len, blobs)))
         return self._pae.encrypt_many(to_key, plaintexts)
+
+    def _open_segments(
+        self,
+        segments: Sequence[tuple[EncryptedDictionary, Sequence[int]]],
+        *,
+        cached: bool = False,
+        dtype=object,
+    ):
+        """The decoded values of ``segments``, in row order, as one array.
+
+        A segment is one store's ``(dictionary, ValueIDs)``. Each distinct
+        entry is opened once, in one PAE batch per segment, and a ValueID
+        outside ``[0, |D|)`` fails the dictionary's bounds check instead of
+        wrapping. Merge and rotation read stores about to be replaced, so
+        they bypass the entry cache; the aggregate's int64 measures share
+        it with the searches (``cached=True``).
+        """
+        import numpy as np
+
+        parts = [np.empty(0, dtype=dtype)]
+        for dictionary, vids in segments:
+            distinct, inverse = np.unique(
+                np.asarray(vids, dtype=np.int64), return_inverse=True
+            )
+            accessor = self._searcher.accessor(
+                dictionary, cached=cached, **self._opening(dictionary)
+            )
+            decoded = np.asarray(
+                [
+                    dictionary.value_type.from_bytes(plaintext)
+                    for plaintext in accessor.open_entries(distinct.tolist())
+                ],
+                dtype=dtype,
+            )
+            parts.append(decoded[inverse.reshape(-1)])
+        return np.concatenate(parts)
 
     def _build_partition(
         self,
@@ -513,7 +548,7 @@ class EncDBDBEnclave(Enclave):
         column_name: str,
         kind: EncryptedDictionaryKind,
         value_type,
-        value_blobs: Sequence[bytes],
+        segments: Sequence[tuple[EncryptedDictionary, Sequence[int]]],
         *,
         bsmax: int = 10,
         partition_id: int = 0,
@@ -521,30 +556,25 @@ class EncDBDBEnclave(Enclave):
     ) -> BuildResult:
         """Merge delta values into a fresh main-store partition.
 
-        ``value_blobs`` is the merged partition in row order, as ciphertext
-        references collected by the untrusted side. Every value is decrypted
-        here and the partition rebuilt with fresh IVs, a fresh rotation,
-        and a fresh shuffle, breaking any linkage between old and new stores
-        (the oblivious-merge requirement of §4.3). ``partition_id`` scopes
-        the epoch bump: an incremental merge rebuilding one dirty partition
+        ``segments`` is the merged partition in row order, as the host's
+        own stored ``(dictionary, ValueIDs)`` per store — main partitions,
+        then the delta. Every distinct entry is opened here once and the
+        partition rebuilt with fresh IVs, a fresh rotation, and a fresh
+        shuffle, breaking any linkage between old and new stores (the
+        oblivious-merge requirement of §4.3). ``partition_id`` scopes the
+        epoch bump: an incremental merge rebuilding one dirty partition
         leaves the cached plaintext of every clean partition valid.
 
-        After an online key rotation the whole column sits under one storage
-        epoch (the flip re-seals main and delta together): ``key_epoch`` is
-        that uniform epoch, for the input blobs and the rebuilt partition
-        alike.
+        Each store is opened under its own dictionary's storage epoch; the
+        rebuilt partition is sealed under ``key_epoch``, the column's
+        storage epoch.
         """
-        if not value_blobs:
+        plaintexts = self._open_segments(segments).tolist()
+        if not plaintexts:
             raise QueryError("rebuild_for_merge requires at least one value")
         self._bump_epoch(table_name, column_name, partition_id)
         from repro.sgx.oblivious import oblivious_shuffle
 
-        key = self._column_key(table_name, column_name, key_epoch)
-        plaintexts = []
-        for blob in value_blobs:
-            plaintext = self._pae.decrypt(key, blob)
-            self.cost_model.record_decryption(len(blob))
-            plaintexts.append(value_type.from_bytes(plaintext))
         # Obliviously permute row order before rebuilding: with the fresh
         # IVs/rotation/shuffle of the rebuild this breaks any positional
         # linkage between old and new stores, and the shuffle's own memory
@@ -613,7 +643,6 @@ class EncDBDBEnclave(Enclave):
 
         table_name = old_dictionary.table_name
         column_name = old_dictionary.column_name
-        value_type = old_dictionary.value_type
         partition_id = old_dictionary.partition_id
         if partition_index < 0:
             raise QueryError(f"invalid partition index {partition_index}")
@@ -622,16 +651,7 @@ class EncDBDBEnclave(Enclave):
         # The old partition's cached plaintext is dropped now (write-ecall
         # discipline); queries re-warm it from the still-serving old build.
         self._bump_epoch(table_name, column_name, partition_id)
-        # One pass over a partition about to be replaced: opened past the
-        # entry cache so it cannot evict what live queries are using.
-        accessor = self._searcher.accessor(
-            old_dictionary, cached=False, **self._opening(old_dictionary)
-        )
-        entries = [
-            value_type.from_bytes(raw)
-            for raw in accessor.open_entries(range(len(old_dictionary)))
-        ]
-        values = [entries[int(vid)] for vid in attribute_vector]
+        values = self._open_segments([(old_dictionary, attribute_vector)]).tolist()
         # Replay the canonical fork discipline: child i of the rotation root
         # is a pure function of (SKDB, rotation target, partition index), so
         # rotating partitions out of order — or in parallel on replicas —
@@ -655,7 +675,7 @@ class EncDBDBEnclave(Enclave):
             column_name=column_name,
             partition_id=partition_id,
             key_epoch=key_epoch,
-            value_type=value_type,
+            value_type=old_dictionary.value_type,
             bsmax=bsmax,
             rng=build_rng,
             iv_rng=iv_rng,
@@ -760,24 +780,13 @@ class EncDBDBEnclave(Enclave):
                         raise QueryError(
                             f"aggregate_groups segment is missing measure {column!r}"
                         )
-                    m_dictionary, m_vids = reference
-                    m_vids = np.asarray(m_vids, dtype=np.int64)
-                    if len(m_vids) != rows:
+                    values = self._open_segments(
+                        [reference], cached=True, dtype=np.int64
+                    )
+                    if len(values) != rows:
                         raise QueryError(
                             "measure rows do not line up with group rows"
                         )
-                    m_distinct, m_inverse = np.unique(m_vids, return_inverse=True)
-                    opened = self._open_distinct_entries(
-                        m_dictionary, m_distinct.tolist()
-                    )
-                    decoded = np.asarray(
-                        [
-                            m_dictionary.value_type.from_bytes(plaintext)
-                            for plaintext in opened
-                        ],
-                        dtype=np.int64,
-                    )
-                    values = decoded[m_inverse]
                     measure_values[column] = values
                 return values
 

@@ -21,7 +21,6 @@ from repro.columnstore.column import EncryptedStoredColumn, PlainStoredColumn
 from repro.columnstore.dictionary import DictionaryEncodedColumn
 from repro.columnstore.partition import DEFAULT_PARTITION_ROWS, PartitionMap
 from repro.columnstore.table import Table
-from repro.encdict.builder import BuildResult
 from repro.exceptions import QueryError
 from repro.sgx.enclave import EnclaveHost
 from repro.sql.planner import (
@@ -637,10 +636,12 @@ class Executor:
         partitions of at most ``partition_rows`` rows each. The merge cost
         is therefore proportional to the dirty rows, not the table size.
 
-        The *untrusted* per-partition preparation — collecting surviving
-        ciphertext blobs, rebuilding plaintext dictionaries — and the
-        per-partition ``rebuild_for_merge`` ecalls run in partition order
-        in the calling thread.
+        One plan serves every column of the table: each new partition is
+        either an old partition kept as it is or the ascending global
+        RecordIDs that survive into it. A plaintext column rebuilds from
+        those rows' ``values_at``; an encrypted column hands their
+        ``ordinal_segments`` to one ``rebuild_for_merge`` crossing per
+        rebuilt partition, in partition order in the calling thread.
         """
         table = self._catalog.table(plan.table)
         valid = np.asarray(table.validity, dtype=bool)
@@ -661,9 +662,8 @@ class Executor:
         pmap = PartitionMap(lengths)
         dirty = set(pmap.dirty_partitions(valid))
 
-        delta_mask = valid[main_rows:]
-        delta_indices = np.nonzero(delta_mask)[0]
-        delta_count = int(len(delta_indices))
+        delta_rows = main_rows + np.flatnonzero(valid[main_rows:])
+        delta_count = int(len(delta_rows))
 
         # Absorb the delta into the last partition when the combined row
         # count still fits one partition (keeps small tables at their seed
@@ -684,118 +684,68 @@ class Executor:
             delta_rows_merged=delta_count,
             rows_after=survivors,
         )
-        # Per-partition decisions, shared by every column of the table.
-        decisions: list[tuple[str, int]] = []
-        keep_masks: dict[int, np.ndarray] = {}
+        # The plan: (old partition index, None) keeps a partition as it is;
+        # (old index or None for a fresh tail, RecordIDs) rebuilds one.
+        steps: list[tuple[int | None, np.ndarray | None]] = []
         for index, (start, length) in enumerate(zip(pmap.starts, lengths)):
             if index not in dirty:
-                decisions.append(("keep", index))
+                steps.append((index, None))
                 stats.partitions_kept += 1
                 continue
-            mask = valid[start : start + length]
-            if mask.any() or index == absorb_index:
-                keep_masks[index] = mask
-                decisions.append(("rebuild", index))
+            rows = start + np.flatnonzero(valid[start : start + length])
+            if index == absorb_index:
+                rows = np.concatenate([rows, delta_rows])
+            if len(rows):
+                steps.append((index, rows))
                 stats.partitions_rebuilt += 1
             else:
-                decisions.append(("drop", index))
                 stats.partitions_dropped += 1
         if absorb_index is None:
-            tail_chunks = [
-                delta_indices[offset : offset + partition_rows]
-                for offset in range(0, delta_count, partition_rows)
-            ]
-        else:
-            tail_chunks = []
-        stats.tail_partitions_added = len(tail_chunks)
+            for offset in range(0, delta_count, partition_rows):
+                steps.append((None, delta_rows[offset : offset + partition_rows]))
+                stats.tail_partitions_added += 1
 
         for column in columns:
             if isinstance(column, PlainStoredColumn):
-                new_parts: list[DictionaryEncodedColumn] = []
-                for action, index in decisions:
-                    if action == "keep":
-                        new_parts.append(column.partitions[index])
-                    elif action == "rebuild":
-                        mask = keep_masks[index]
-                        values = [
-                            value
-                            for value, keep in zip(
-                                column.partitions[index].values(), mask
-                            )
-                            if keep
-                        ]
-                        if index == absorb_index:
-                            values.extend(
-                                column.delta_values[int(i)] for i in delta_indices
-                            )
-                        new_parts.append(
-                            DictionaryEncodedColumn.from_values(values)
-                        )
-                for chunk in tail_chunks:
-                    new_parts.append(
-                        DictionaryEncodedColumn.from_values(
-                            [column.delta_values[int(i)] for i in chunk]
-                        )
-                    )
-                column.partitions = new_parts
+                column.partitions = [
+                    column.partitions[index]
+                    if rows is None
+                    else DictionaryEncodedColumn.from_values(column.values_at(rows))
+                    for index, rows in steps
+                ]
                 column.delta_values = []
                 column.partition_rows = partition_rows
-            else:
-                if self._host is None:
-                    raise QueryError("no enclave available for merge")
-                new_builds = []
-                new_ids = []
-                for action, index in decisions:
-                    if action == "keep":
-                        new_builds.append(column.partition_builds[index])
-                        new_ids.append(column.partition_ids[index])
-                    elif action == "rebuild":
-                        # Surviving ciphertext frames: untrusted, no ecall.
-                        blobs = column.partition_blobs(index, keep_masks[index])
-                        if index == absorb_index:
-                            blobs.extend(
-                                column.delta_blobs[int(i)] for i in delta_indices
-                            )
-                        new_builds.append(
-                            self._rebuild_partition(
-                                table, column, column.partition_ids[index], blobs
-                            )
-                        )
-                        new_ids.append(column.partition_ids[index])
-                for chunk in tail_chunks:
-                    partition_id = column.allocate_partition_id()
-                    new_builds.append(
-                        self._rebuild_partition(
-                            table,
-                            column,
-                            partition_id,
-                            [column.delta_blobs[int(i)] for i in chunk],
-                        )
+                continue
+            if self._host is None:
+                raise QueryError("no enclave available for merge")
+            new_builds = []
+            new_ids = []
+            for index, rows in steps:
+                if rows is None:
+                    new_builds.append(column.partition_builds[index])
+                    new_ids.append(column.partition_ids[index])
+                    continue
+                partition_id = (
+                    column.allocate_partition_id()
+                    if index is None
+                    else column.partition_ids[index]
+                )
+                new_builds.append(
+                    self._host.ecall(
+                        "rebuild_for_merge",
+                        table.name,
+                        column.spec.name,
+                        column.spec.protection,
+                        column.spec.value_type,
+                        column.ordinal_segments(rows),
+                        bsmax=column.spec.bsmax,
+                        partition_id=partition_id,
+                        key_epoch=column.key_epoch,
                     )
-                    new_ids.append(partition_id)
-                column.set_partitions(new_builds, ids=new_ids)
-                column.delta_blobs = []
+                )
+                new_ids.append(partition_id)
+            column.set_partitions(new_builds, ids=new_ids)
+            column.delta_blobs = []
         table.reset_validity(survivors)
         self.last_merge_stats = stats
         return survivors
-
-    def _rebuild_partition(
-        self,
-        table: Table,
-        column: EncryptedStoredColumn,
-        partition_id: int,
-        blobs: list[bytes],
-    ) -> BuildResult:
-        """One ``rebuild_for_merge`` crossing: ``blobs`` (row order, sealed
-        under the column's storage epoch) become a fresh main partition."""
-        return self._host.ecall(
-            "rebuild_for_merge",
-            table.name,
-            column.spec.name,
-            column.spec.protection,
-            column.spec.value_type,
-            blobs,
-            bsmax=column.spec.bsmax,
-            partition_id=partition_id,
-            key_epoch=column.key_epoch,
-        )

@@ -234,11 +234,17 @@ def test_reseal_delta_rejects_the_whole_list_on_one_bad_tag():
 
 def test_rebuild_for_merge_produces_searchable_store():
     host, master_key, pae, rng = _provisioned_host()
-    key = derive_column_key(master_key, "t1", "c1")
     vt = VarcharType(20)
     merged_values = ["x", "m", "a", "m", "z"]
-    blobs = [pae.encrypt(key, vt.to_bytes(v)) for v in merged_values]
-    build = host.ecall("rebuild_for_merge", "t1", "c1", ED2, vt, blobs)
+    stored = _build(master_key, pae, rng, merged_values, ED1)
+    build = host.ecall(
+        "rebuild_for_merge",
+        "t1",
+        "c1",
+        ED2,
+        vt,
+        [(stored.dictionary, stored.attribute_vector)],
+    )
     tau = _tau(master_key, pae, vt, "a", "m")
     result = host.ecall("dict_search", build.dictionary, tau)
     records = sorted(attr_vect_search(build.attribute_vector, result).tolist())
@@ -248,12 +254,41 @@ def test_rebuild_for_merge_produces_searchable_store():
 def test_rebuild_for_merge_unlinkable():
     """Merged ciphertexts share no blob with the inputs (fresh IVs)."""
     host, master_key, pae, rng = _provisioned_host()
-    key = derive_column_key(master_key, "t1", "c1")
     vt = VarcharType(20)
-    blobs = [pae.encrypt(key, vt.to_bytes(v)) for v in ["a", "b", "a"]]
-    build = host.ecall("rebuild_for_merge", "t1", "c1", ED9, vt, blobs)
+    stored = _build(master_key, pae, rng, ["a", "b", "a"], ED9)
+    build = host.ecall(
+        "rebuild_for_merge",
+        "t1",
+        "c1",
+        ED9,
+        vt,
+        [(stored.dictionary, stored.attribute_vector)],
+    )
     new_blobs = {bytes(b) for b in build.dictionary.entries()}
-    assert new_blobs.isdisjoint({bytes(b) for b in blobs})
+    assert new_blobs.isdisjoint({bytes(b) for b in stored.dictionary.entries()})
+
+
+@pytest.mark.parametrize("ecall", ["rebuild_for_merge", "rotate_partition"])
+@pytest.mark.parametrize("past", ["below", "above"])
+def test_stored_entry_opener_rejects_out_of_range_value_ids(ecall, past):
+    """A host-supplied ValueID outside ``[0, |D|)`` raises; -1 must not wrap
+    around to the last entry (nor |D| to anything)."""
+    host, master_key, pae, rng = _provisioned_host()
+    stored = _build(master_key, pae, rng, ["a", "b", "c", "d"], ED9)
+    vids = stored.attribute_vector.copy()
+    vids[1] = -1 if past == "below" else len(stored.dictionary)
+    with pytest.raises(IndexError, match="dictionary index"):
+        if ecall == "rebuild_for_merge":
+            host.ecall(
+                "rebuild_for_merge",
+                "t1",
+                "c1",
+                ED9,
+                VarcharType(20),
+                [(stored.dictionary, vids)],
+            )
+        else:
+            host.ecall("rotate_partition", stored.dictionary, vids, new_kind=ED1)
 
 
 # ----------------------------------------------------------------------

@@ -210,7 +210,6 @@ def test_eviction_under_epc_pressure_stays_correct():
 def test_rebuild_for_merge_invalidates_column_cache():
     """After a merge rebuild no pre-merge cache entry survives."""
     host, master_key, pae, rng = _provisioned_host(FastPathConfig())
-    key = derive_column_key(master_key, "t1", "c1")
     vt = VarcharType(20)
     build = _build(master_key, pae, rng, VALUES, ED2)
     tau = _tau(master_key, pae, vt, "a", "e")
@@ -220,8 +219,15 @@ def test_rebuild_for_merge_invalidates_column_cache():
     old_epoch = host._enclave._epoch("t1", "c1", build.dictionary.partition_id)
 
     merged_values = ["m", "a", "z", "m"]
-    blobs = [pae.encrypt(key, vt.to_bytes(v)) for v in merged_values]
-    new_build = host.ecall("rebuild_for_merge", "t1", "c1", ED2, vt, blobs)
+    stored = _build(master_key, pae, rng, merged_values, ED1)
+    new_build = host.ecall(
+        "rebuild_for_merge",
+        "t1",
+        "c1",
+        ED2,
+        vt,
+        [(stored.dictionary, stored.attribute_vector)],
+    )
 
     # Epoch bumped, and every surviving key carries the current epoch for
     # some column — none references the merged column's old epoch.

@@ -20,7 +20,11 @@ datasets that differ **only in protected values** and assert:
 - a multi-row INSERT is one ``reseal_delta`` crossing per encrypted
   column: shifted values give identical traces, the row count shows only
   as the length of the blob lists, and a reseal that changed a blob's
-  size would be a violation for an INSERT as for a key flip.
+  size would be a violation for an INSERT as for a key flip;
+- a MERGE (deletes in one partition, a delta absorbed into the last
+  partition, then a delta overflowing into a tail partition) gives
+  identical traces for shifted values under every kind: the rebuild's
+  inputs and outputs are sized by the layout, never by the values.
 
 Only the *empty* and *full-covering* queries run in the cardinality
 pairs: a selective range would match different row counts on the two
@@ -243,3 +247,50 @@ def test_reseal_size_vector_invariant_fires(kwargs):
     assert oracle.report.drain() == []
     oracle._check_ecall("reseal_delta", ("w", "k", blobs), kwargs, [bytes(40), bytes(45)])
     assert [v.invariant for v in oracle.report.drain()] == ["reseal-delta-sizes"]
+
+
+# ----------------------------------------------------------------------
+# MERGE: value-shift pair
+# ----------------------------------------------------------------------
+
+
+def run_merge(kind: str, *, shift: int = 0):
+    """Two MERGEs over three 8-row partitions; their trace.
+
+    The first merge rebuilds partition 1 (two deletes) and absorbs two
+    delta rows into partition 2 (two deletes, so they fit); the second
+    merge finds the last partition full and adds a tail partition.
+    """
+    system = EncDBDBSystem.create(seed=7)
+    system.execute(f"CREATE TABLE t (v {kind} INTEGER BSMAX 4, n INTEGER)")
+    system.bulk_load(
+        "t",
+        {
+            "v": [value + shift for value in BASE_VALUES],
+            "n": list(range(len(BASE_VALUES))),
+        },
+        partition_rows=8,
+    )
+    with capture_trace() as trace:
+        system.execute("DELETE FROM t WHERE n = 9 OR n = 12")
+        system.execute("DELETE FROM t WHERE n = 17 OR n = 22")
+        system.execute(f"INSERT INTO t VALUES ({115 + shift}, 100), ({160 + shift}, 101)")
+        system.merge("t")
+        system.execute(
+            f"INSERT INTO t VALUES ({120 + shift}, 102), ({120 + shift}, 103), "
+            f"({175 + shift}, 104)"
+        )
+        system.merge("t")
+        system.query(f"SELECT n FROM t WHERE v >= {100 + shift} AND v <= {200 + shift}")
+    table = system.server.catalog.table("t")
+    assert table.column("v").partition_lengths == [8, 6, 8, 3]
+    return trace
+
+
+@pytest.mark.parametrize("kind", KIND_NAMES)
+def test_merge_value_shift_pair_is_trace_identical(kind):
+    """A MERGE leaks no value magnitudes: shifted data, same trace."""
+    baseline = run_merge(kind)
+    # Partitions 1 and 2 in the first merge, the tail in the second.
+    assert sum(event.name == "rebuild_for_merge" for event in baseline) == 3
+    assert baseline == run_merge(kind, shift=1000)

@@ -75,9 +75,11 @@ def test_swapped_result_blob_detected_at_proxy(system):
     def substitute(plan):
         result = original(plan)
         score_column = system.server.catalog.table("t").column("score")
+        build = score_column.partition_builds[0]
+        foreign = build.dictionary.entry(int(build.attribute_vector[0]))
         for column in result.columns.values():
             if column.encrypted and column.data:
-                column.data[0] = score_column.partition_blobs(0)[0]
+                column.data[0] = foreign
         return result
 
     system.server.execute_select = substitute

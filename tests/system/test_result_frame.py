@@ -73,9 +73,9 @@ def _row_blobs(catalog) -> dict[str, list[bytes]]:
     for name in COLUMNS:
         column = table.column(name)
         rows = [
-            blob
-            for index in range(len(column.partition_builds))
-            for blob in column.partition_blobs(index)
+            build.dictionary.entry(int(vid))
+            for build in column.partition_builds
+            for vid in build.attribute_vector
         ]
         blobs[name] = rows + list(column.delta_blobs)
     return blobs
