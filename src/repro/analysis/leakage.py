@@ -136,7 +136,8 @@ ECALL_CONTRACTS: dict[str, LeakageContract] = dict(
             "a freshly built encrypted dictionary + attribute vector; "
             "entry order decorrelated by an oblivious shuffle. Its inputs "
             "are the host's own stored (dictionary, ValueIDs) per store — "
-            "a re-encoding of the surviving rows' per-row blobs",
+            "a re-encoding of the surviving rows' per-row blobs — each "
+            "refused unless of the rebuilt (table, column, key_epoch)",
             "_build_partition",
             "oblivious_shuffle",
         ),

@@ -422,27 +422,38 @@ class EncryptedStoredColumn:
         partition layout, so calling this on several columns with the same
         ``record_ids`` yields row-aligned segment lists.
         """
+        return self.ordinal_segment_lists([record_ids])[0]
+
+    def ordinal_segment_lists(
+        self, row_sets: Sequence[np.ndarray]
+    ) -> list[list[tuple[EncryptedDictionary, np.ndarray]]]:
+        """:meth:`ordinal_segments` of each row set, all from one
+        :meth:`render_view` snapshot with the delta dictionary built once
+        (a merge rebuilding several partitions of a column)."""
         builds, delta_blobs, key_epoch = self.render_view()
-        record_ids = np.asarray(record_ids, dtype=np.int64)
-        segments: list[tuple[EncryptedDictionary, np.ndarray]] = []
-        start = 0
-        for build in builds:
-            length = len(build.attribute_vector)
-            in_store = record_ids[
-                (record_ids >= start) & (record_ids < start + length)
-            ]
-            if len(in_store):
-                segments.append(
-                    (build.dictionary, build.attribute_vector[in_store - start])
-                )
-            start += length
-        if delta_blobs:
+        delta = None
+        lists = []
+        for record_ids in row_sets:
+            record_ids = np.asarray(record_ids, dtype=np.int64)
+            segments: list[tuple[EncryptedDictionary, np.ndarray]] = []
+            start = 0
+            for build in builds:
+                length = len(build.attribute_vector)
+                in_store = record_ids[
+                    (record_ids >= start) & (record_ids < start + length)
+                ]
+                if len(in_store):
+                    segments.append(
+                        (build.dictionary, build.attribute_vector[in_store - start])
+                    )
+                start += length
             in_delta = record_ids[record_ids >= start]
-            if len(in_delta):
-                segments.append(
-                    (self._delta_dictionary(delta_blobs, key_epoch), in_delta - start)
-                )
-        return segments
+            if delta_blobs and len(in_delta):
+                if delta is None:
+                    delta = self._delta_dictionary(delta_blobs, key_epoch)
+                segments.append((delta, in_delta - start))
+            lists.append(segments)
+        return lists
 
     def record_ids_from_results(
         self,

@@ -565,10 +565,16 @@ class EncDBDBEnclave(Enclave):
         epoch bump: an incremental merge rebuilding one dirty partition
         leaves the cached plaintext of every clean partition valid.
 
-        Each store is opened under its own dictionary's storage epoch; the
-        rebuilt partition is sealed under ``key_epoch``, the column's
-        storage epoch.
+        Every store must belong to ``table_name.column_name`` under
+        ``key_epoch``, the key the rebuilt partition is sealed under:
+        otherwise a host could launder another column's values into
+        authentic ciphertext of this one. A foreign store is refused before
+        anything is opened.
         """
+        bound = (table_name, column_name, key_epoch)
+        for store, _vids in segments:
+            if (store.table_name, store.column_name, store.key_epoch) != bound:
+                raise EnclaveSecurityError(f"merge store is not of column/epoch {bound}")
         plaintexts = self._open_segments(segments).tolist()
         if not plaintexts:
             raise QueryError("rebuild_for_merge requires at least one value")
@@ -684,19 +690,6 @@ class EncDBDBEnclave(Enclave):
     # ------------------------------------------------------------------
     # Analytics pushdown (PR 9)
     # ------------------------------------------------------------------
-    def _open_distinct_entries(
-        self, dictionary: EncryptedDictionary, indices: Sequence[int]
-    ) -> list[bytes]:
-        """Plaintext bytes of the dictionary entries at ``indices``.
-
-        The caller passes *distinct* ValueIDs — the pushdown's one-decryption-
-        per-distinct-value contract — and the lookups share the dict_search /
-        join entry cache, so a range scan followed by an aggregate over the
-        same column costs no re-decryption.
-        """
-        accessor = self._searcher.accessor(dictionary, **self._opening(dictionary))
-        return accessor.open_entries(indices)
-
     @ecall
     def aggregate_groups(
         self,
@@ -756,9 +749,11 @@ class EncDBDBEnclave(Enclave):
                 if rows == 0:
                     continue
                 distinct_vids, dense = group_index(group_vids)
-                key_blobs = self._open_distinct_entries(
-                    group_dictionary, distinct_vids.tolist()
-                )
+                # One decryption per distinct group ValueID, sharing the
+                # dict_search / join entry cache.
+                key_blobs = self._searcher.accessor(
+                    group_dictionary, **self._opening(group_dictionary)
+                ).open_entries(distinct_vids.tolist())
             else:
                 rows = int(segment["rows"])
                 if rows == 0:

@@ -639,9 +639,10 @@ class Executor:
         One plan serves every column of the table: each new partition is
         either an old partition kept as it is or the ascending global
         RecordIDs that survive into it. A plaintext column rebuilds from
-        those rows' ``values_at``; an encrypted column hands their
-        ``ordinal_segments`` to one ``rebuild_for_merge`` crossing per
-        rebuilt partition, in partition order in the calling thread.
+        those rows' ``values_at``; an encrypted column takes their
+        ``ordinal_segment_lists`` from one snapshot and hands each rebuilt
+        partition's segments to one ``rebuild_for_merge`` crossing, in
+        partition order in the calling thread.
         """
         table = self._catalog.table(plan.table)
         valid = np.asarray(table.validity, dtype=bool)
@@ -720,6 +721,11 @@ class Executor:
                 raise QueryError("no enclave available for merge")
             new_builds = []
             new_ids = []
+            segment_lists = iter(
+                column.ordinal_segment_lists(
+                    [rows for _index, rows in steps if rows is not None]
+                )
+            )
             for index, rows in steps:
                 if rows is None:
                     new_builds.append(column.partition_builds[index])
@@ -737,7 +743,7 @@ class Executor:
                         column.spec.name,
                         column.spec.protection,
                         column.spec.value_type,
-                        column.ordinal_segments(rows),
+                        next(segment_lists),
                         bsmax=column.spec.bsmax,
                         partition_id=partition_id,
                         key_epoch=column.key_epoch,

@@ -268,3 +268,25 @@ def test_plain_values_at_matches_value_at():
     for record_ids in ([], [0], [7, 8], [3, 9, 17, 24, 29, 30, 32], list(range(33))):
         rows = np.asarray(record_ids, dtype=np.int64)
         assert column.values_at(rows) == [column.value_at(r) for r in record_ids]
+
+
+def test_ordinal_segment_lists_build_the_delta_dictionary_once():
+    """A merge's row sets are segmented from one snapshot: each list equals
+    that set's ``ordinal_segments``, and every list reaching into the delta
+    shares one delta dictionary instead of rebuilding it per partition."""
+    import numpy as np
+
+    system = _nine_kinds_system()
+    _insert(system, 100, 3)
+    column = system.server.catalog.table("t").column("c1")
+    row_sets = [np.array([0, 6, 18]), np.array([2, 3]), np.array([12, 19, 20])]
+    lists = column.ordinal_segment_lists(row_sets)
+    for segments, rows in zip(lists, row_sets):
+        single = column.ordinal_segments(rows)
+        assert [len(vids) for _, vids in segments] == [len(v) for _, v in single]
+        for (dictionary, vids), (expected, expected_vids) in zip(segments, single):
+            assert list(dictionary.entries()) == list(expected.entries())
+            assert vids.tolist() == expected_vids.tolist()
+    delta_dictionaries = [lists[0][-1][0], lists[2][-1][0]]
+    assert delta_dictionaries[0] is delta_dictionaries[1]
+    assert len(lists[1]) == 1  # rows 2 and 3 never touch the delta

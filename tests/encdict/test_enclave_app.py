@@ -268,6 +268,43 @@ def test_rebuild_for_merge_unlinkable():
     assert new_blobs.isdisjoint({bytes(b) for b in stored.dictionary.entries()})
 
 
+@pytest.mark.parametrize(
+    "foreign",
+    [("t1", "c2", 0), ("t2", "c1", 0), ("t1", "c1", 1)],
+    ids=["other-column", "other-table", "other-epoch"],
+)
+def test_rebuild_for_merge_refuses_a_store_of_another_column(foreign):
+    """A merge must not launder column B's stored values into authentic
+    ciphertext of column A: every store handed to ``rebuild_for_merge`` has
+    to belong to the rebuilt column under the epoch it is sealed with."""
+    host, master_key, pae, rng = _provisioned_host()
+    own = _build(master_key, pae, rng, ["a", "b"], ED9)
+    table, column, epoch = foreign
+    other = encdb_build(
+        ["secret"],
+        ED9,
+        value_type=VarcharType(20),
+        key=derive_column_key(master_key, table, column, key_epoch=epoch),
+        pae=pae,
+        rng=rng.fork("foreign"),
+        table_name=table,
+        column_name=column,
+    )
+    other.dictionary.key_epoch = epoch
+    with pytest.raises(EnclaveSecurityError, match="merge store"):
+        host.ecall(
+            "rebuild_for_merge",
+            "t1",
+            "c1",
+            ED9,
+            VarcharType(20),
+            [
+                (own.dictionary, own.attribute_vector),
+                (other.dictionary, other.attribute_vector),
+            ],
+        )
+
+
 @pytest.mark.parametrize("ecall", ["rebuild_for_merge", "rotate_partition"])
 @pytest.mark.parametrize("past", ["below", "above"])
 def test_stored_entry_opener_rejects_out_of_range_value_ids(ecall, past):
