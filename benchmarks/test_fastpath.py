@@ -6,7 +6,7 @@ configuration the Figure 8 benchmarks use):
 
 - the in-enclave dictionary-entry cache on a repeated range-query workload
   (wall clock and cost-model decryptions, per dictionary kind);
-- ``dict_search_batch`` on a 3-filter conjunctive query: exactly one
+- ``dict_search`` on a 3-filter conjunctive query: exactly one
   boundary crossing at either budget — batching is not a setting;
 - the EPC-budget invariant of the cache under the same workload.
 
@@ -135,7 +135,7 @@ def conjunctive_runs():
         measured[label] = {
             "wall_s": wall,
             "cost_delta": delta,
-            "batch_ecalls": cost.ecalls_by_name.get("dict_search_batch", 0),
+            "search_ecalls": cost.ecalls_by_name.get("dict_search", 0),
             "rows": [r[0] for r in result],
         }
     assert measured["fast"]["rows"] == measured["baseline"]["rows"]
@@ -172,13 +172,13 @@ def test_cache_never_exceeds_epc_budget(shape, repeated_runs):
 
 
 def test_three_filter_conjunction_is_one_batch_ecall(shape, conjunctive_runs):
-    """Batching: 3 encrypted filters -> exactly 1 dict_search_batch ecall,
+    """Batching: 3 encrypted filters -> exactly 1 dict_search ecall,
     with or without a cache (what keeps the legs apart is the decryption
     count of the repeated-query workload above)."""
     for label in ("baseline", "fast"):
         run = conjunctive_runs[label]
         assert run["cost_delta"]["ecalls"] == 1, label
-        assert run["batch_ecalls"] == 1, label
+        assert run["search_ecalls"] == 1, label
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_report_fastpath(shape, repeated_runs, conjunctive_runs):
         "\n3-filter conjunctive query: "
         f"{batch['baseline']['cost_delta']['ecalls']} ecall at budget 0, "
         f"{batch['fast']['cost_delta']['ecalls']} at the default budget "
-        "(one dict_search_batch either way).\n"
+        "(one dict_search either way).\n"
     )
     write_result("fastpath", text)
 

@@ -110,7 +110,7 @@ def test_ed9_c2_slower_than_c1_at_rs100(shape, cells, workbench):
                 engine._value_type.ordinal(query.high),
             ),
         )
-        result = engine.host.ecall("dict_search", engine.build.dictionary, tau)
+        (result,) = engine.host.ecall("dict_search", [(engine.build.dictionary, tau)])
         cost = CostModel()
         attr_vect_search(engine.build.attribute_vector, result, cost_model=cost)
         comparisons[column_name] = cost.comparisons

@@ -33,6 +33,8 @@ TCB_FILES = (
     "encdict/encode.py",
     "encdict/builder.py",  # rebuild_for_merge runs EncDB inside the enclave
     "encdict/buckets.py",
+    "sgx/cache.py",  # resident plaintext entries and packed ordinals
+    "sgx/oblivious.py",  # the MERGE's oblivious shuffle
     "crypto/pae.py",
     "crypto/gcm.py",
     "crypto/aes.py",

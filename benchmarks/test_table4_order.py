@@ -35,7 +35,7 @@ def _measure_operation_counts(workbench, kind_name: str, range_size: int):
     )
     cost: CostModel = engine.host.cost_model
     before = cost.snapshot()
-    result = engine.host.ecall("dict_search", engine.build.dictionary, tau)
+    (result,) = engine.host.ecall("dict_search", [(engine.build.dictionary, tau)])
     search_delta = cost.diff(before)
     before = cost.snapshot()
     attr_vect_search(engine.build.attribute_vector, result, cost_model=cost)
@@ -75,7 +75,7 @@ def test_benchmark_dictionary_search_only(benchmark, workbench, kind_name):
         ),
     )
     benchmark.pedantic(
-        lambda: engine.host.ecall("dict_search", engine.build.dictionary, tau),
+        lambda: engine.host.ecall("dict_search", [(engine.build.dictionary, tau)])[0],
         rounds=3,
         iterations=1,
     )

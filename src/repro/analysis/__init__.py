@@ -28,18 +28,13 @@ from repro.analysis.engine import (
 from repro.analysis.findings import ALL_RULES, FileReport, Finding
 from repro.analysis.racecheck import RaceDetector, RaceReport, RaceViolation
 from repro.analysis.suppressions import parse_suppressions
-from repro.analysis.trustmap import (
-    MODULE_TRUST,
-    REGISTERED_ECALLS,
-    trust_level,
-)
+from repro.analysis.trustmap import MODULE_TRUST, trust_level
 
 __all__ = [
     "ALL_RULES",
     "FileReport",
     "Finding",
     "MODULE_TRUST",
-    "REGISTERED_ECALLS",
     "RaceDetector",
     "RaceReport",
     "RaceViolation",

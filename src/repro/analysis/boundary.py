@@ -28,11 +28,11 @@ from repro.analysis.findings import (
     RULE_UNKNOWN_ECALL,
     Finding,
 )
+from repro.analysis.leakage import ECALL_CONTRACTS
 from repro.analysis.trustmap import (
     ENCLAVE_INTERNALS,
     KEY_SYMBOLS,
     MODULE_TRUST,
-    REGISTERED_ECALLS,
     RESTRICTED_LEVELS,
     TRUST_CRYPTO,
     TRUST_ENCLAVE,
@@ -165,12 +165,12 @@ def check(tree: ast.AST, *, module: str, path: str) -> list[Finding]:
             and isinstance(node.args[0].value, str)
         ):
             name = node.args[0].value
-            if name not in REGISTERED_ECALLS:
+            if name not in ECALL_CONTRACTS:
                 report(
                     RULE_UNKNOWN_ECALL,
                     node,
                     f"ecall {name!r} is not a registered enclave entry "
-                    "point (see trustmap.REGISTERED_ECALLS)",
+                    "point (see leakage.ECALL_CONTRACTS)",
                     name,
                 )
 

@@ -15,17 +15,17 @@ This pass makes those contracts *data* and machine-checks them:
   enclave entry point cannot ship without stating its leakage. A declared
   contract whose shaping helpers never appear in the body is an error too
   (``unshaped-response``): the promise exists but is not applied.
-- :data:`VERB_CONTRACTS` is the same statement for the wire surface, but
-  not a second registry: it is derived from the one verb table
-  (:data:`repro.net.verbs.VERBS`), where ``observables`` and ``shaping``
-  are fields a verb cannot be constructed without. What stays a lint rule
-  is that the server module routes failures through ``redact_exception``
-  (the error-frame shaping all verbs share) and references every declared
-  shaping helper.
-
-``tests/analysis/test_leakage_contracts.py`` pins ``ECALL_CONTRACTS``
-against the runtime (keys == ``REGISTERED_ECALLS``), so registry drift
-fails CI from both directions.
+  :data:`ECALL_CONTRACTS` is also the only list of ecall names: the
+  boundary pass checks every ``host.ecall("…")`` name against it, and
+  ``tests/analysis/test_leakage_contracts.py`` pins its keys to
+  ``EncDBDBEnclave().ecall_names()``, so drift fails CI from both
+  directions.
+- The wire surface needs no second registry: the verb table
+  (:data:`repro.net.verbs.VERBS`) is its own contract, since
+  ``observables`` and ``shaping`` are fields a verb cannot be constructed
+  without. What stays a lint rule is that the server module routes
+  failures through ``redact_exception`` (the error-frame shaping all verbs
+  share) and references every verb's declared shaping helpers.
 """
 
 from __future__ import annotations
@@ -57,17 +57,16 @@ class LeakageContract:
     """
 
     name: str
-    kind: str  # "ecall" | "verb"
     observables: str
     shaping: tuple[str, ...]
 
 
 def _ecall(name: str, observables: str, *shaping: str) -> tuple[str, LeakageContract]:
-    return name, LeakageContract(name, "ecall", observables, shaping)
+    return name, LeakageContract(name, observables, shaping)
 
 
-#: Per-ecall leakage contracts. Keys are asserted equal to
-#: ``trustmap.REGISTERED_ECALLS`` by the test suite.
+#: Per-ecall leakage contracts, and the one registry of ecall names. Keys
+#: are asserted equal to ``EncDBDBEnclave().ecall_names()`` by the test suite.
 ECALL_CONTRACTS: dict[str, LeakageContract] = dict(
     [
         _ecall(
@@ -108,16 +107,11 @@ ECALL_CONTRACTS: dict[str, LeakageContract] = dict(
         ),
         _ecall(
             "dict_search",
-            "ordinal range positions / matched-vid sets — each kind's "
-            "declared order and frequency leakage, padded per kind "
-            "(rotated kinds: always exactly two ranges)",
-            "_dict_search_one",
-        ),
-        _ecall(
-            "dict_search_batch",
-            "request-order list of per-dictionary search results, same "
-            "per-kind shaping as dict_search",
-            "_dict_search_one",
+            "request-order list of per-dictionary search results: ordinal "
+            "range positions / matched-vid sets — each kind's declared order "
+            "and frequency leakage, padded per kind (rotated kinds: always "
+            "exactly two ranges)",
+            "search",
         ),
         _ecall(
             "join_tokens",
@@ -150,22 +144,15 @@ ECALL_CONTRACTS: dict[str, LeakageContract] = dict(
         ),
         _ecall(
             "aggregate_groups",
-            "a power-of-two count of uniform-size encrypted group frames",
+            "a power-of-two count of uniform-size encrypted group frames. "
+            "Its group and measure stores are each refused unless of "
+            "(table_name, that store's column)",
             "padded_frame_count",
             "encode_frame_payload",
             "encrypt_many",
         ),
     ]
 )
-
-#: Per-wire-verb leakage contracts: a view of the verb table, not a copy.
-#: All verbs share the error-frame contract (typed kind + scrubbed message
-#: via ``redact_exception``); ``shaping`` lists any additional helper the
-#: server module must reference for that verb family.
-VERB_CONTRACTS: dict[str, LeakageContract] = {
-    verb.name: LeakageContract(verb.name, "verb", verb.observables, verb.shaping)
-    for verb in VERBS.values()
-}
 
 
 def _referenced_names(*roots: ast.AST) -> set[str]:
@@ -225,6 +212,9 @@ def check(tree: ast.AST, *, module: str, path: str) -> list[Finding]:
                 )
 
     # ---- verb contracts: the dispatcher applies the shared shaping ----
+    # All verbs share the error-frame contract (typed kind + scrubbed
+    # message via ``redact_exception``); each verb's ``shaping`` lists any
+    # additional helper the server module must reference.
     # A snippet merely *claiming* the server module name (fixtures,
     # unit-test sources) is not the wire surface; anchor the module-wide
     # shaping checks on the dispatcher's use of the verb table.
@@ -240,13 +230,13 @@ def check(tree: ast.AST, *, module: str, path: str) -> list[Finding]:
                 "verb's error path must emit typed, scrubbed error frames",
                 ERROR_SHAPER,
             )
-        for verb, contract in VERB_CONTRACTS.items():
-            for helper in contract.shaping:
+        for verb in VERBS.values():
+            for helper in verb.shaping:
                 if helper not in module_refs:
                     report(
                         RULE_UNSHAPED_RESPONSE,
                         1,
-                        f"wire verb {verb!r} declares shaping helper "
+                        f"wire verb {verb.name!r} declares shaping helper "
                         f"{helper!r} but the server never references it",
                         helper,
                     )

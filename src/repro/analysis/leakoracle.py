@@ -27,9 +27,9 @@ Instrumented choke points:
 Eager invariants checked as events arrive, mirroring the contracts in
 :data:`~repro.analysis.leakage.ECALL_CONTRACTS`:
 
-- ``dict_search`` / ``dict_search_batch`` results carrying ordinal ranges
-  have **exactly two** (real ranges padded with ``DUMMY_RANGE``) — the
-  count never encodes how many runs matched;
+- ``dict_search`` results carrying ordinal ranges have **exactly two**
+  (real ranges padded with ``DUMMY_RANGE``) — the count never encodes how
+  many runs matched;
 - ``aggregate_groups`` returns a **power-of-two** count of
   **uniform-size** frames;
 - ``reseal_delta`` returns blobs with byte-for-byte the **same size
@@ -233,9 +233,7 @@ class LeakOracle:
             )
 
     def _check_ecall(self, name: str, args: tuple, kwargs: dict, result: Any) -> None:
-        if name == "dict_search":
-            self._check_search_result(name, result)
-        elif name == "dict_search_batch" and isinstance(result, list):
+        if name == "dict_search" and isinstance(result, list):
             for item in result:
                 self._check_search_result(name, item)
         elif name == "aggregate_groups" and isinstance(result, list):

@@ -3,11 +3,11 @@
 EncDBDB's security argument (paper §3-§4, DESIGN.md §8) is that the
 untrusted DBMS reaches secrets only through the enclave's registered ecall
 surface. This module writes that argument down as data: every ``repro``
-module is assigned a trust level, trusted modules export an explicit symbol
-surface, and the registered ecall names are pinned. The passes in
+module is assigned a trust level and trusted modules export an explicit
+symbol surface (the ecall names themselves are the keys of
+:data:`repro.analysis.leakage.ECALL_CONTRACTS`). The passes in
 :mod:`repro.analysis.boundary` machine-check source code against this map;
-``tests/analysis`` asserts the map itself stays in sync with the runtime
-(e.g. :data:`REGISTERED_ECALLS` vs. ``EncDBDBEnclave.ecall_names()``).
+``tests/analysis`` asserts the map itself stays in sync with the runtime.
 
 Trust levels
 ============
@@ -187,28 +187,6 @@ ENCLAVE_INTERNALS = frozenset(
         "enclave_random_bytes",
         "enclave_randint",
     }
-)
-
-#: The registered ecall surface of :class:`repro.encdict.enclave_app.
-#: EncDBDBEnclave`, pinned statically so the boundary pass can verify the
-#: names untrusted code passes to ``EnclaveHost.ecall``. A test asserts this
-#: tuple equals ``EncDBDBEnclave.ecall_names()`` — editing the enclave
-#: without updating the map (or vice versa) fails CI.
-REGISTERED_ECALLS: tuple[str, ...] = (
-    "channel_offer",
-    "channel_accept",
-    "provision_master_key",
-    "replicate_master_key",  # primary-side cluster key hand-off (PR 7)
-    "is_provisioned",
-    "seal_master_key",
-    "restore_master_key",
-    "dict_search",
-    "dict_search_batch",
-    "join_tokens",
-    "reseal_delta",  # an INSERT's blobs, or the delta store at a key flip
-    "rebuild_for_merge",
-    "rotate_partition",  # online rotation shadow rebuild (PR 8)
-    "aggregate_groups",  # ordinal-space GROUP BY / aggregates (PR 9)
 )
 
 #: Module prefixes whose builds must be reproducible from caller-provided

@@ -187,7 +187,7 @@ class EncDbdbColumnEngine:
                 self._value_type.ordinal(query.high),
             ),
         )
-        result = self.host.ecall("dict_search", self.build.dictionary, tau)
+        (result,) = self.host.ecall("dict_search", [(self.build.dictionary, tau)])
         record_ids = attr_vect_search(
             self.build.attribute_vector, result, cost_model=self.host.cost_model
         )

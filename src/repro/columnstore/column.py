@@ -383,7 +383,7 @@ class EncryptedStoredColumn:
         One entry per non-empty main partition — labeled ``("main", i,
         build)`` — plus one for the delta store (``("delta",)``). The
         executor collects these across all filters of a query plan so the
-        whole plan can go through a single ``dict_search_batch`` ecall; the
+        whole plan can go through a single ``dict_search`` ecall; the
         labels route each :class:`SearchResult` back through
         :meth:`record_ids_from_results`. Every per-partition search result
         is padded to the same fixed shape as a single-partition search, so
@@ -456,25 +456,18 @@ class EncryptedStoredColumn:
         return lists
 
     def record_ids_from_results(
-        self,
-        labeled_results: Sequence[tuple[Any, SearchResult]],
-        *,
-        cost_model=None,
-        scan_cache: dict | None = None,
+        self, labeled_results: Sequence[tuple[Any, SearchResult]], *, cost_model=None
     ) -> np.ndarray:
         """Turn the enclave's per-store :class:`SearchResult`\\ s into global
         RecordIDs (the untrusted ``AttrVectSearch`` half of a query).
 
         Main partitions are scanned one after another in the calling
         thread; partition-local RecordIDs are offset by the partition
-        start so the union is the global answer. ``scan_cache`` (per-query,
-        executor-owned) memoizes each partition scan by ``(column,
-        partition, result shape)`` so identical filters on one column
-        within a query scan each attribute vector once.
+        start so the union is the global answer.
         """
         parts: list[np.ndarray | None] = []
         starts = self.partition_starts
-        pending: list[tuple[int, BuildResult, int, SearchResult, tuple | None]] = []
+        pending: list[tuple[int, int, tuple[np.ndarray, SearchResult]]] = []
         for label, result in labeled_results:
             if label[0] == "main":
                 # Scan the partition version the label carries: the one whose
@@ -482,22 +475,8 @@ class EncryptedStoredColumn:
                 _, index, build = label
                 if not 0 <= index < len(self.partition_builds):
                     raise QueryError(f"unknown main partition {index}")
-                signature = None
-                if scan_cache is not None:
-                    signature = (
-                        id(self),
-                        "main",
-                        index,
-                        id(build.dictionary),
-                        result.ranges,
-                        result.vids,
-                    )
-                    cached = scan_cache.get(signature)
-                    if cached is not None:
-                        parts.append(cached)
-                        continue
                 parts.append(None)
-                pending.append((len(parts) - 1, build, index, result, signature))
+                pending.append((len(parts) - 1, index, (build.attribute_vector, result)))
             elif label[0] == "delta":
                 # The ED9 delta attribute vector is the identity: entry i of
                 # the delta dictionary belongs to delta row i.
@@ -507,20 +486,14 @@ class EncryptedStoredColumn:
                 raise QueryError(f"unknown search-store label {label!r}")
 
         if pending:
-            jobs = [
-                (build.attribute_vector, result)
-                for _, build, _, result, _ in pending
-            ]
+            jobs = [job for _, _, job in pending]
             if len(jobs) == 1:
                 rids_list = [attr_vect_search(*jobs[0], cost_model=cost_model)]
             else:
                 # One up-front cost charge, then a per-partition loop.
                 rids_list = attr_vect_search_many(jobs, cost_model=cost_model)
-            for (slot, _, index, _, signature), rids in zip(pending, rids_list):
-                global_rids = rids + starts[index]
-                if signature is not None:
-                    scan_cache[signature] = global_rids
-                parts[slot] = global_rids
+            for (slot, index, _), rids in zip(pending, rids_list):
+                parts[slot] = rids + starts[index]
 
         if not parts:
             return np.empty(0, dtype=np.int64)

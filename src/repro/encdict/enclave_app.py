@@ -8,9 +8,10 @@ analogue of the paper's 1129-LOC C enclave. Its ecalls are:
   ``SKDB`` after attesting the enclave (paper §4.2 step 2);
 - ``seal_master_key`` / ``restore_master_key`` for persistence across
   enclave restarts without a new attestation round trip;
-- ``dict_search``, the per-query entry point (§4.2 step 8): derives the
-  per-column key, decrypts the encrypted range ``τ``, and runs the
-  ``EnclDictSearch`` matching the dictionary's kind. One ecall per query;
+- ``dict_search``, the per-query entry point (§4.2 step 8): for each
+  ``(dictionary, τ)`` request derives the per-column key, decrypts the
+  encrypted range ``τ``, and runs the ``EnclDictSearch`` matching the
+  dictionary's kind. One ecall per query, whatever the store count;
   dictionary entries are pulled from untrusted memory one at a time, so
   enclave memory use is constant and independent of ``|D|`` (§5);
 - ``reseal_delta`` and ``rebuild_for_merge`` for dynamic data (§4.3): an
@@ -352,10 +353,18 @@ class EncDBDBEnclave(Enclave):
     # ------------------------------------------------------------------
     # Query processing (paper §4.2, step 8)
     # ------------------------------------------------------------------
-    def _dict_search_one(
-        self, dictionary: EncryptedDictionary, tau: tuple[bytes, bytes]
-    ) -> SearchResult:
-        """One ``EnclDictSearch``: decrypt ``τ``, derive ``SKD``, dispatch.
+    @ecall
+    def dict_search(
+        self,
+        requests: Sequence[tuple[EncryptedDictionary, tuple[bytes, bytes]]],
+    ) -> list[SearchResult]:
+        """``EnclDictSearch`` over ``(dictionary, τ)`` pairs, in request order.
+
+        Each ``dictionary`` is a *reference* into untrusted memory enriched
+        with the table/column metadata; its ``τ`` is the PAE-encrypted range.
+        One crossing serves a whole query plan (conjunctive or disjunctive
+        filters, main + delta stores, several columns) — the DuckDB-SGX2
+        lesson that transition costs dominate repeated small enclave calls.
 
         ``τ`` is always under the transit key (epoch 0) — clients need not
         know a column's storage-key generation to query it — while the
@@ -363,47 +372,21 @@ class EncDBDBEnclave(Enclave):
         ``key_epoch``, so queries keep working across an online key rotation
         even while old- and new-epoch partitions coexist.
         """
-        transit_key = self._column_key(
-            dictionary.table_name, dictionary.column_name
-        )
-        low_blob, high_blob = tau
-        search = OrdinalRange.from_bytes(
-            self._pae.decrypt(transit_key, low_blob)
-            + self._pae.decrypt(transit_key, high_blob)
-        )
-        self.cost_model.record_decryption(len(low_blob))
-        self.cost_model.record_decryption(len(high_blob))
-        return self._searcher.search(dictionary, search, **self._opening(dictionary))
-
-    @ecall
-    def dict_search(
-        self, dictionary: EncryptedDictionary, tau: tuple[bytes, bytes]
-    ) -> SearchResult:
-        """``EnclDictSearch`` on one encrypted dictionary.
-
-        ``dictionary`` is a *reference* into untrusted memory enriched with
-        the table/column metadata; ``tau`` is the PAE-encrypted range.
-        """
-        return self._dict_search_one(dictionary, tau)
-
-    @ecall
-    def dict_search_batch(
-        self,
-        requests: Sequence[tuple[EncryptedDictionary, tuple[bytes, bytes]]],
-    ) -> list[SearchResult]:
-        """``EnclDictSearch`` over many ``(dictionary, τ)`` pairs at once.
-
-        One boundary crossing serves a whole multi-filter plan (conjunctive
-        or disjunctive filters, main + delta stores, join-side lookups) —
-        the DuckDB-SGX2 lesson that transition costs dominate repeated small
-        enclave calls. The dictionaries may belong to different columns;
-        results are returned in request order.
-        """
         if not requests:
-            raise QueryError("dict_search_batch requires at least one request")
-        return [
-            self._dict_search_one(dictionary, tau) for dictionary, tau in requests
-        ]
+            raise QueryError("dict_search requires at least one request")
+        results = []
+        for dictionary, (low_blob, high_blob) in requests:
+            transit_key = self._column_key(dictionary.table_name, dictionary.column_name)
+            query_range = OrdinalRange.from_bytes(
+                self._pae.decrypt(transit_key, low_blob)
+                + self._pae.decrypt(transit_key, high_blob)
+            )
+            self.cost_model.record_decryption(len(low_blob))
+            self.cost_model.record_decryption(len(high_blob))
+            results.append(
+                self._searcher.search(dictionary, query_range, **self._opening(dictionary))
+            )
+        return results
 
     @ecall
     def join_tokens(self, dictionary: EncryptedDictionary, salt: bytes) -> list[bytes]:
@@ -737,6 +720,16 @@ class EncDBDBEnclave(Enclave):
                 raise QueryError(f"unsupported aggregate function {function!r}")
             if function != "COUNT" and column is None:
                 raise QueryError(f"{function} requires a measure column")
+        # Every store must be of (table_name, its column), as in
+        # rebuild_for_merge: a host must not answer one table's aggregate
+        # from another table's or column's stores.
+        for segment in segments:
+            stores = [(name, ref[0]) for name, ref in segment.get("measures", {}).items()]
+            if segment.get("group") is not None:
+                stores.append((group_column, segment["group"][0]))
+            for name, store in stores:
+                if (store.table_name, store.column_name) != (table_name, name):
+                    raise EnclaveSecurityError(f"aggregate store is not of {table_name}.{name}")
 
         #: plaintext group key -> per-spec mergeable [a, b] states.
         merged: dict[bytes, list[list[int]]] = {}

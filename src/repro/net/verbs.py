@@ -13,8 +13,10 @@ list is *derived* from it:
 - :class:`~repro.cluster.router.ClusterRouter` gets every verb whose
   ``route`` names a fan-out policy from one generic routing function (only
   ``custom`` verbs carry a hand-written merge);
-- :data:`repro.analysis.leakage.VERB_CONTRACTS` is a comprehension over the
-  table, so a verb cannot exist without stating what the provider observes.
+- the leakage lint (:mod:`repro.analysis.leakage`) reads each verb's
+  ``observables`` and ``shaping`` fields directly: they are the verb's
+  leakage contract, so a verb cannot exist without stating what the
+  provider observes.
 
 Adding a verb is one ``EncDBDBServer`` method plus one line here (plus a
 router method only when ``route`` is ``custom``).

@@ -245,8 +245,8 @@ class FastPathConfig:
     0 is the paper's constant-memory enclave: no cache exists, nothing is
     reserved, every probe is decrypted and ED3/6/9 scan entry by entry.
     Everything else the search path does — the derived-key memo, one
-    boundary crossing per query plan, per-query scan-mask reuse — holds no
-    per-dictionary state and is not configurable.
+    boundary crossing per query plan — holds no per-dictionary state and is
+    not configurable.
     """
 
     #: EPC budget of the entry cache (charged against the 96 MiB model).

@@ -59,7 +59,7 @@ class CostModel:
     bytes_copied_out: int = 0  # guarded-by: self._lock
     #: Per-entry-point ecall counts, e.g. {"dict_search": 3}. Benchmarks use
     #: this to assert *which* boundary crossings a query plan performed
-    #: (one ``dict_search_batch`` vs N ``dict_search`` calls).
+    #: (one ``dict_search`` per query plan, whatever its store count).
     ecalls_by_name: dict = field(default_factory=dict)  # guarded-by: self._lock
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False

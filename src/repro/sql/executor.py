@@ -141,10 +141,9 @@ class Executor:
         """Evaluate a filter tree to the set of matching, valid RecordIDs."""
         if plan is None:
             return table.all_valid_rids()
-        # Per-query state: enclave results keyed by filter leaf, and a
-        # scan-mask cache shared by all filters on this query's columns.
+        # Per-query state: enclave results keyed by filter leaf.
         prepared = self._prepare_encrypted_searches(table, plan)
-        return table.filter_valid(self._evaluate(table, plan, prepared, {}))
+        return table.filter_valid(self._evaluate(table, plan, prepared))
 
     def _collect_encrypted_leaves(
         self, plan: FilterPlan, leaves: list[EncryptedRangeFilter]
@@ -163,9 +162,8 @@ class Executor:
         Collects the ``(dictionary, τ)`` requests of all encrypted filter
         leaves (main and delta stores) and crosses the enclave boundary at
         most once: no request (no encrypted leaf, or only empty stores) is
-        no ecall, exactly one is the paper's ``dict_search``, several are one
-        ``dict_search_batch``. Returns a map from leaf identity to its
-        labeled :class:`SearchResult`\\ s.
+        no ecall, otherwise one ``dict_search``. Returns a map from leaf
+        identity to its labeled :class:`SearchResult`\\ s.
         """
         leaves: list[EncryptedRangeFilter] = []
         self._collect_encrypted_leaves(plan, leaves)
@@ -182,28 +180,18 @@ class Executor:
             for label, dictionary, tau in column.search_requests(leaf.tau):
                 requests.append((dictionary, tau))
                 slots.append((id(leaf), label))
-        if len(requests) == 1:
-            results = [self._host.ecall("dict_search", *requests[0])]
-        elif requests:
-            results = self._host.ecall("dict_search_batch", requests)
-        else:
-            results = []
+        results = self._host.ecall("dict_search", requests) if requests else []
         prepared: dict[int, list] = {id(leaf): [] for leaf in leaves}
         for (leaf_id, label), result in zip(slots, results):
             prepared[leaf_id].append((label, result))
         return prepared
 
     def _evaluate(
-        self,
-        table: Table,
-        plan: FilterPlan,
-        prepared: dict[int, list],
-        scan_cache: dict,
+        self, table: Table, plan: FilterPlan, prepared: dict[int, list]
     ) -> np.ndarray:
         if isinstance(plan, FilterNode):
             child_sets = [
-                self._evaluate(table, child, prepared, scan_cache)
-                for child in plan.children
+                self._evaluate(table, child, prepared) for child in plan.children
             ]
             if plan.operator == "NOT":
                 if len(child_sets) != 1:
@@ -227,7 +215,7 @@ class Executor:
         if isinstance(plan, PrefixFilter):
             return self._evaluate_prefix(table, plan)
         if isinstance(plan, EncryptedRangeFilter):
-            return self._evaluate_encrypted(table, plan, prepared, scan_cache)
+            return self._evaluate_encrypted(table, plan, prepared)
         raise QueryError(f"unknown filter node {type(plan).__name__}")
 
     def _evaluate_plain(self, table: Table, plan: RangeFilter) -> np.ndarray:
@@ -257,16 +245,10 @@ class Executor:
         return matches
 
     def _evaluate_encrypted(
-        self,
-        table: Table,
-        plan: EncryptedRangeFilter,
-        prepared: dict[int, list],
-        scan_cache: dict,
+        self, table: Table, plan: EncryptedRangeFilter, prepared: dict[int, list]
     ) -> np.ndarray:
         matches = table.column(plan.column).record_ids_from_results(
-            prepared[id(plan)],
-            cost_model=self._host.cost_model,
-            scan_cache=scan_cache,
+            prepared[id(plan)], cost_model=self._host.cost_model
         )
         if plan.negated:
             return self._complement(table, matches)

@@ -16,7 +16,7 @@ def record(name: str) -> None:
 
 def search(host: EnclaveHost, blobs, encrypted_range) -> object:
     record("dict_search")
-    return host.ecall("dict_search", blobs, encrypted_range)
+    return host.ecall("dict_search", [(blobs, encrypted_range)])[0]
 
 
 # lint: allow(forbidden-symbol) justification="suppression self-test: the word is only exercised so tests can assert justified suppressions count as suppressed"

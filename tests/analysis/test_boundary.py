@@ -41,7 +41,7 @@ def test_registered_ecall_and_surface_import_are_clean():
         "from repro.sgx.enclave import EnclaveHost\n"
         "from repro.encdict.enclave_app import EncDBDBEnclave\n"
         "def go(host):\n"
-        "    return host.ecall('dict_search_batch', [])\n"
+        "    return host.ecall('dict_search', [])\n"
     )
     findings = analyze_source(
         source, module="repro.server.dbms", path="dbms.py"

@@ -1,36 +1,30 @@
-"""The leakage-contract registries stay in sync with the runtime.
+"""The ecall leakage contracts stay in sync with the runtime.
 
-:mod:`repro.analysis.leakage` declares, as data, what every ecall and every
-wire verb may reveal. These tests pin the ecall half against the live
-enclave from both directions: an ecall without a contract cannot ship, and
-a contract for a retired entry point cannot linger. The verb half is a
-comprehension over ``repro.net.verbs.VERBS`` — there is nothing to drift —
-and the table itself is held by ``tests/net/test_verbs.py``.
+:mod:`repro.analysis.leakage` declares, as data, what every ecall may
+reveal, and its ``ECALL_CONTRACTS`` keys are the one registry of ecall
+names. One test pins them against the live enclave from both directions:
+an ecall without a contract cannot ship, and a contract for a retired
+entry point cannot linger. Wire verbs carry their contract as fields of
+``repro.net.verbs.VERBS`` — there is nothing to drift — and the table
+itself is held by ``tests/net/test_verbs.py``.
 """
 
 from __future__ import annotations
 
-from repro.analysis.leakage import ECALL_CONTRACTS, VERB_CONTRACTS
-from repro.analysis.trustmap import REGISTERED_ECALLS
+from repro.analysis.leakage import ECALL_CONTRACTS
 from repro.encdict.enclave_app import EncDBDBEnclave
-
-
-def test_every_registered_ecall_has_a_contract():
-    assert set(ECALL_CONTRACTS) == set(REGISTERED_ECALLS)
 
 
 def test_contracts_cover_the_live_enclave_surface():
     assert set(ECALL_CONTRACTS) == set(EncDBDBEnclave().ecall_names())
 
 
-def test_contracts_declare_observables_and_kind():
-    for registry, kind in ((ECALL_CONTRACTS, "ecall"), (VERB_CONTRACTS, "verb")):
-        for name, contract in registry.items():
-            assert contract.name == name
-            assert contract.kind == kind
-            # Every contract states *what* the provider observes — an empty
-            # observables string would be a contract in name only.
-            assert contract.observables.strip()
+def test_contracts_declare_observables():
+    for name, contract in ECALL_CONTRACTS.items():
+        assert contract.name == name
+        # Every contract states *what* the provider observes — an empty
+        # observables string would be a contract in name only.
+        assert contract.observables.strip()
 
 
 def test_the_analyzer_reads_the_verb_table_without_running_the_net_stack():

@@ -34,7 +34,7 @@ def test_eight_threads_scan_one_partitioned_column():
     tau = system.proxy._encrypt_filter(plan.table, plan.filter).tau
     requests = column.search_requests(tau)
     results = system.server.enclave_host.ecall(
-        "dict_search_batch", [(dictionary, t) for _, dictionary, t in requests]
+        "dict_search", [(dictionary, t) for _, dictionary, t in requests]
     )
     labeled = [(label, result) for (label, _, _), result in zip(requests, results)]
 

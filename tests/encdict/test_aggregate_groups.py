@@ -4,8 +4,9 @@ Covers the ordinal-space aggregation contract end to end at the enclave
 boundary: exact COUNT/SUM/AVG/MIN/MAX states per group, first-occurrence
 group order, plaintext-level merging of duplicate dictionary entries
 (ED4/ED7) and cross-segment groups, one decryption per *distinct* entry,
-and the padded-frame shape the untrusted side observes (uniform byte
-length, power-of-two count, dummy flags only visible after decryption).
+the padded-frame shape the untrusted side observes (uniform byte
+length, power-of-two count, dummy flags only visible after decryption),
+and the refusal of a store that is not of the queried table and column.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.encdict.enclave_app import (
     padded_frame_count,
 )
 from repro.encdict.options import ALL_KINDS, ED1, ED4
-from repro.exceptions import QueryError
+from repro.exceptions import EnclaveSecurityError, QueryError
 
 from tests.encdict.test_enclave_app import _provisioned_host
 
@@ -38,16 +39,18 @@ SPECS = (
 )
 
 
-def _column_build(master_key, pae, rng, values, kind, column, value_type, bsmax=3):
+def _column_build(
+    master_key, pae, rng, values, kind, column, value_type, bsmax=3, table="t1"
+):
     return encdb_build(
         values,
         kind,
         value_type=value_type,
-        key=derive_column_key(master_key, "t1", column),
+        key=derive_column_key(master_key, table, column),
         pae=pae,
         rng=rng.fork(f"agg-{column}-{kind.name}"),
         bsmax=bsmax,
-        table_name="t1",
+        table_name=table,
         column_name=column,
     )
 
@@ -231,3 +234,43 @@ def test_rejects_malformed_specs():
         )
     with pytest.raises(QueryError):
         host.ecall("aggregate_groups", "t1", (("SUM", None, "sum"),), [segment])
+
+
+@pytest.mark.parametrize(
+    "role, table, column",
+    [
+        ("group", "t2", "g"),
+        ("group", "t1", "h"),
+        ("measure", "t2", "m"),
+        ("measure", "t1", "x"),
+    ],
+    ids=[
+        "group-foreign-table",
+        "group-foreign-column",
+        "measure-foreign-table",
+        "measure-foreign-column",
+    ],
+)
+def test_refuses_a_store_of_another_table_or_column(role, table, column):
+    """The frames are sealed under t1's aggregate key, so a host must not
+    answer t1's aggregate from another table's or column's store: the store
+    is refused before anything is opened."""
+    host, master_key, pae, rng = _provisioned_host(b"agg-binding")
+    group_table, group_column = (table, column) if role == "group" else ("t1", "g")
+    measure_table, measure_column = (table, column) if role == "measure" else ("t1", "m")
+    group_build = _column_build(
+        master_key, pae, rng, GROUPS, ED1, group_column, VarcharType(4), table=group_table
+    )
+    measure_build = _column_build(
+        master_key, pae, rng, MEASURES, ED1, measure_column, IntegerType(), table=measure_table
+    )
+    before = host.cost_model.snapshot()["decryptions"]
+    with pytest.raises(EnclaveSecurityError):
+        host.ecall(
+            "aggregate_groups",
+            "t1",
+            (("SUM", "m", "sum(m)"),),
+            [_segment(group_build, measure_build, range(len(GROUPS)))],
+            group_column="g",
+        )
+    assert host.cost_model.snapshot()["decryptions"] == before

@@ -82,7 +82,7 @@ def test_full_query_flow_every_kind():
     for kind in ALL_KINDS:
         build = _build(master_key, pae, rng, values, kind)
         tau = _tau(master_key, pae, build.dictionary.value_type, "b", "d")
-        result = host.ecall("dict_search", build.dictionary, tau)
+        (result,) = host.ecall("dict_search", [(build.dictionary, tau)])
         records = sorted(attr_vect_search(build.attribute_vector, result).tolist())
         assert records == reference_range_search(values, "b", "d"), kind.name
 
@@ -96,7 +96,7 @@ def test_search_without_provisioning_rejected():
     build = _build(master_key, pae, rng, ["a", "b"], ED1)
     tau = _tau(master_key, pae, build.dictionary.value_type, "a", "b")
     with pytest.raises(EnclaveSecurityError):
-        host.ecall("dict_search", build.dictionary, tau)
+        host.ecall("dict_search", [(build.dictionary, tau)])
 
 
 def test_provisioning_requires_channel():
@@ -137,7 +137,7 @@ def test_seal_and_restore_master_key():
     values = [5, 1, 3, 5]
     build = _build(master_key, pae, rng, values, ED1, value_type=IntegerType())
     tau = _tau(master_key, pae, IntegerType(), 2, 5)
-    result = fresh_host.ecall("dict_search", build.dictionary, tau)
+    (result,) = fresh_host.ecall("dict_search", [(build.dictionary, tau)])
     records = sorted(attr_vect_search(build.attribute_vector, result).tolist())
     assert records == reference_range_search(values, 2, 5)
 
@@ -148,7 +148,7 @@ def test_one_ecall_per_query():
     build = _build(master_key, pae, rng, ["a", "b", "c"] * 10, ED2)
     before = host.cost_model.ecalls
     tau = _tau(master_key, pae, build.dictionary.value_type, "a", "b")
-    host.ecall("dict_search", build.dictionary, tau)
+    host.ecall("dict_search", [(build.dictionary, tau)])
     assert host.cost_model.ecalls == before + 1
 
 
@@ -163,7 +163,7 @@ def test_logarithmic_vs_linear_decryptions():
         build = _build(master_key, pae, rng, values, kind)
         tau = _tau(master_key, pae, build.dictionary.value_type, *tau_args)
         before = host.cost_model.snapshot()
-        host.ecall("dict_search", build.dictionary, tau)
+        host.ecall("dict_search", [(build.dictionary, tau)])
         counts[kind.name] = host.cost_model.diff(before)["decryptions"]
 
     assert counts["ED3"] == 512 + 2  # every entry + the two range bounds
@@ -178,7 +178,7 @@ def test_constant_enclave_memory():
     large = _build(master_key, pae, rng, [f"v{i}" for i in range(2000)], ED1)
     for build in (small, large):
         tau = _tau(master_key, pae, build.dictionary.value_type, "a", "zz")
-        host.ecall("dict_search", build.dictionary, tau)
+        host.ecall("dict_search", [(build.dictionary, tau)])
     # The enclave never allocates EPC pages for dictionary data.
     assert host._enclave.epc.allocated_pages == 0
 
@@ -246,7 +246,7 @@ def test_rebuild_for_merge_produces_searchable_store():
         [(stored.dictionary, stored.attribute_vector)],
     )
     tau = _tau(master_key, pae, vt, "a", "m")
-    result = host.ecall("dict_search", build.dictionary, tau)
+    (result,) = host.ecall("dict_search", [(build.dictionary, tau)])
     records = sorted(attr_vect_search(build.attribute_vector, result).tolist())
     assert records == reference_range_search(merged_values, "a", "m")
 

@@ -109,7 +109,7 @@ def _observed_searches(kind, cache_bytes):
         tau = _tau(master_key, pae, build.dictionary.value_type, low, high)
         for _temperature in ("cold", "warm"):
             before = host.cost_model.snapshot()
-            result = host.ecall("dict_search", build.dictionary, tau)
+            (result,) = host.ecall("dict_search", [(build.dictionary, tau)])
             diff = host.cost_model.diff(before)
             records = sorted(
                 attr_vect_search(build.attribute_vector, result).tolist()
@@ -149,12 +149,12 @@ def test_warm_cache_skips_decryptions():
     tau = _tau(master_key, pae, build.dictionary.value_type, "v010", "v020")
 
     before = host.cost_model.snapshot()
-    host.ecall("dict_search", build.dictionary, tau)
+    host.ecall("dict_search", [(build.dictionary, tau)])
     cold = host.cost_model.diff(before)["decryptions"]
     assert cold == 64 + 2  # every entry + both range bounds
 
     before = host.cost_model.snapshot()
-    host.ecall("dict_search", build.dictionary, tau)
+    host.ecall("dict_search", [(build.dictionary, tau)])
     warm = host.cost_model.diff(before)["decryptions"]
     assert warm == 2  # only the τ bounds; all 64 entries hit the cache
 
@@ -191,7 +191,7 @@ def test_eviction_under_epc_pressure_stays_correct():
     bounds = [(f"v{low:03d}", f"v{low + 9:03d}") for low in range(0, 200, 10)]
     for low, high in bounds + bounds[:3]:
         tau = _tau(master_key, pae, build.dictionary.value_type, low, high)
-        result = host.ecall("dict_search", build.dictionary, tau)
+        (result,) = host.ecall("dict_search", [(build.dictionary, tau)])
         records = sorted(attr_vect_search(build.attribute_vector, result).tolist())
         assert records == reference_range_search(values, low, high)
         assert cache.used_bytes <= cache.budget_bytes
@@ -213,7 +213,7 @@ def test_rebuild_for_merge_invalidates_column_cache():
     vt = VarcharType(20)
     build = _build(master_key, pae, rng, VALUES, ED2)
     tau = _tau(master_key, pae, vt, "a", "e")
-    host.ecall("dict_search", build.dictionary, tau)  # populate the cache
+    host.ecall("dict_search", [(build.dictionary, tau)])  # populate the cache
     cache = host._enclave.entry_cache
     assert len(cache) > 0
     old_epoch = host._enclave._epoch("t1", "c1", build.dictionary.partition_id)
@@ -242,7 +242,7 @@ def test_rebuild_for_merge_invalidates_column_cache():
 
     # Searches against the rebuilt store are correct (stale never served).
     tau = _tau(master_key, pae, vt, "a", "m")
-    result = host.ecall("dict_search", new_build.dictionary, tau)
+    (result,) = host.ecall("dict_search", [(new_build.dictionary, tau)])
     records = sorted(attr_vect_search(new_build.attribute_vector, result).tolist())
     assert records == reference_range_search(merged_values, "a", "m")
 
@@ -254,7 +254,7 @@ def test_reseal_delta_bumps_epoch():
     key = derive_column_key(master_key, "t1", "c1")
     build = _build(master_key, pae, rng, VALUES, ED2)
     tau = _tau(master_key, pae, build.dictionary.value_type, "a", "e")
-    host.ecall("dict_search", build.dictionary, tau)  # warm main partition 0
+    host.ecall("dict_search", [(build.dictionary, tau)])  # warm main partition 0
     resident = len(host._enclave.entry_cache)
     assert resident > 0
     before = host._enclave._epoch("t1", "c1", DELTA_PARTITION_ID)
@@ -268,7 +268,7 @@ def test_restore_master_key_clears_caches():
     host, master_key, pae, rng = _provisioned_host(FastPathConfig())
     build = _build(master_key, pae, rng, VALUES, ED3)
     tau = _tau(master_key, pae, build.dictionary.value_type, "a", "e")
-    host.ecall("dict_search", build.dictionary, tau)
+    host.ecall("dict_search", [(build.dictionary, tau)])
     cache = host._enclave.entry_cache
     assert len(cache) > 0
     sealed = host.ecall("seal_master_key")
@@ -277,11 +277,11 @@ def test_restore_master_key_clears_caches():
 
 
 # ----------------------------------------------------------------------
-# Batched ecalls
+# One search ecall for many requests
 # ----------------------------------------------------------------------
 
 
-def test_dict_search_batch_matches_individual_searches():
+def test_dict_search_of_many_requests_matches_one_request_searches():
     host, master_key, pae, rng = _provisioned_host(FastPathConfig())
     vt = VarcharType(20)
     builds = [_build(master_key, pae, rng, VALUES, kind) for kind in ALL_KINDS[:3]]
@@ -290,12 +290,12 @@ def test_dict_search_batch_matches_individual_searches():
         for low, high in [("a", "b"), ("b", "d"), ("d", "e")]
     ]
     individual = [
-        host.ecall("dict_search", build.dictionary, tau)
+        host.ecall("dict_search", [(build.dictionary, tau)])[0]
         for build, tau in zip(builds, taus)
     ]
     before = host.cost_model.snapshot()
     batched = host.ecall(
-        "dict_search_batch",
+        "dict_search",
         [(build.dictionary, tau) for build, tau in zip(builds, taus)],
     )
     diff = host.cost_model.diff(before)
@@ -305,10 +305,10 @@ def test_dict_search_batch_matches_individual_searches():
         assert got.ranges == expected.ranges and got.vids == expected.vids
 
 
-def test_dict_search_batch_rejects_empty_request():
+def test_dict_search_rejects_empty_request():
     host, *_ = _provisioned_host(FastPathConfig())
     with pytest.raises(QueryError):
-        host.ecall("dict_search_batch", [])
+        host.ecall("dict_search", [])
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +322,7 @@ def _full_scan(host, master_key, pae, build):
     """A range covering the whole 3-entry dictionary: its two binary
     searches probe entries {1, 0} and {1, 2}, i.e. every entry."""
     tau = _tau(master_key, pae, build.dictionary.value_type, "a", "c")
-    return host.ecall("dict_search", build.dictionary, tau)
+    return host.ecall("dict_search", [(build.dictionary, tau)])[0]
 
 
 def _count_by_group(host, build):
@@ -383,8 +383,8 @@ def test_bare_enclave_holds_no_plaintext():
     assert host._enclave.fastpath_stats() is None
     build = _build(master_key, pae, rng, VALUES, ED3)
     tau = _tau(master_key, pae, build.dictionary.value_type, "a", "e")
-    host.ecall("dict_search", build.dictionary, tau)
-    host.ecall("dict_search", build.dictionary, tau)
+    host.ecall("dict_search", [(build.dictionary, tau)])
+    host.ecall("dict_search", [(build.dictionary, tau)])
     assert host._enclave.epc.allocated_pages == 0
 
 
@@ -398,7 +398,7 @@ def test_zero_budget_is_the_constant_memory_enclave():
     tau = _tau(master_key, pae, build.dictionary.value_type, "a", "e")
     for _ in range(2):
         before = host.cost_model.snapshot()
-        host.ecall("dict_search", build.dictionary, tau)
+        host.ecall("dict_search", [(build.dictionary, tau)])
         assert host.cost_model.diff(before)["decryptions"] == len(build.dictionary) + 2
     assert host._enclave.epc.allocated_pages == 0
     assert host._enclave.fastpath_stats() is None

@@ -249,6 +249,21 @@ def test_reseal_size_vector_invariant_fires(kwargs):
     assert [v.invariant for v in oracle.report.drain()] == ["reseal-delta-sizes"]
 
 
+def test_padded_ranges_invariant_checks_every_search_result():
+    """``dict_search`` answers a list of requests: every range-bearing
+    result in it must carry exactly two ranges, not just the first."""
+    from repro.analysis.leakoracle import LeakOracle
+    from repro.encdict.search import DUMMY_RANGE, SearchResult
+
+    oracle = LeakOracle()  # not installed: the invariant is checked directly
+    padded = SearchResult(ranges=((0, 3), DUMMY_RANGE))
+    oracle._check_ecall("dict_search", ([],), {}, [padded, padded])
+    assert oracle.report.drain() == []
+    unpadded = SearchResult(ranges=((0, 3), (5, 6), (8, 9)))
+    oracle._check_ecall("dict_search", ([],), {}, [padded, unpadded])
+    assert [v.invariant for v in oracle.report.drain()] == ["padded-ranges"]
+
+
 # ----------------------------------------------------------------------
 # MERGE: value-shift pair
 # ----------------------------------------------------------------------

@@ -71,16 +71,17 @@ def test_all_kinds_return_identical_record_ids_across_layouts(systems, queries):
             rid for rid, value in enumerate(VALUES) if query.low <= value <= query.high
         }
         for index, kind in enumerate(KINDS, 1):
-            sql = (
-                f"SELECT c{index} FROM t WHERE c{index} "
-                f"BETWEEN {query.low} AND {query.high}"
-            )
-            results = {
-                rows: _record_ids(system, sql) for rows, system in systems.items()
-            }
-            assert results[None] == truth, kind
-            for partition_rows, rids in results.items():
-                assert rids == truth, (kind, partition_rows)
+            between = f"c{index} BETWEEN {query.low} AND {query.high}"
+            # The duplicated predicate gives one query two encrypted leaves
+            # on one column with identical search results.
+            for where in (between, f"{between} OR {between}"):
+                sql = f"SELECT c{index} FROM t WHERE {where}"
+                results = {
+                    rows: _record_ids(system, sql) for rows, system in systems.items()
+                }
+                assert results[None] == truth, (kind, where)
+                for partition_rows, rids in results.items():
+                    assert rids == truth, (kind, partition_rows, where)
 
 
 def test_equivalence_holds_with_delta_rows(systems):

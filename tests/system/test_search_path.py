@@ -2,10 +2,10 @@
 
 ``FastPathConfig.dictionary_cache_bytes`` decides what the enclave keeps
 resident and nothing else: the executor crosses the boundary at most once
-per filter plan — zero searches → no ecall, one → the paper's
-``dict_search``, several → one ``dict_search_batch`` — whether the budget is
-0 (the paper's constant-memory enclave), too small for any packed array, or
-the default.
+per filter plan — no search, no ecall; otherwise one ``dict_search`` that
+carries every ``(dictionary, τ)`` request of the plan — whether the budget
+is 0 (the paper's constant-memory enclave), too small for any packed array,
+or the default.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ def _deploy(cache_bytes, partition_rows=None, rows=VALUES):
 
 
 def _search_ecalls(system, sql):
-    """``(result, {ecall name: count})`` of the search ecalls one query made."""
+    """``(result, {ecall name: count})`` of every ecall one query made."""
     by_name = system.server.cost_model.ecalls_by_name
     before = dict(by_name)
     result = system.query(sql)
     made = {
-        name: by_name[name] - before.get(name, 0)
-        for name in ("dict_search", "dict_search_batch")
-        if by_name.get(name, 0) != before.get(name, 0)
+        name: count - before.get(name, 0)
+        for name, count in by_name.items()
+        if count != before.get(name, 0)
     }
     return result, made
 
@@ -66,7 +66,7 @@ def test_one_search_is_one_dict_search(cache_bytes):
 def test_several_searches_are_one_batch(cache_bytes, partition_rows, sql, expected):
     system = _deploy(cache_bytes, partition_rows)
     result, made = _search_ecalls(system, sql)
-    assert made == {"dict_search_batch": 1}
+    assert made == {"dict_search": 1}
     assert sorted(r[0] for r in result) == sorted(v for v in VALUES if v in expected)
 
 

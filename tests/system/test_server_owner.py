@@ -134,6 +134,4 @@ def test_two_owners_cannot_share_one_enclave_key():
         OrdinalRange(0, VarcharType(10).domain_size - 1),
     )
     with pytest.raises(AuthenticationError):
-        server.enclave_host.ecall(
-            "dict_search", build.dictionary, tau
-        )
+        server.enclave_host.ecall("dict_search", [(build.dictionary, tau)])

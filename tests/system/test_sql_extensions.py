@@ -71,11 +71,11 @@ def test_in_each_member_is_a_separate_encrypted_range(system):
     """
     cost = system.server.cost_model
     before_ecalls = cost.ecalls
-    before_batches = cost.ecalls_by_name.get("dict_search_batch", 0)
+    before_searches = cost.ecalls_by_name.get("dict_search", 0)
     system.query("SELECT sku FROM t WHERE n IN (1, 2, 3)")
-    # 3 members -> 3 dictionary searches on column n, one batch ecall.
+    # 3 members -> 3 dictionary searches on column n, one search ecall.
     assert cost.ecalls - before_ecalls == 1
-    assert cost.ecalls_by_name.get("dict_search_batch", 0) - before_batches == 1
+    assert cost.ecalls_by_name.get("dict_search", 0) - before_searches == 1
 
 
 # ----------------------------------------------------------------------
