@@ -4,26 +4,34 @@ The delta-store merge "has to be implemented in a way that does not leak the
 relationship between values in the old and new main store, e.g., with
 oblivious memory primitives [ZeroTrace, Opaque]". This module provides the
 two primitives that requirement needs, with **data-independent access
-patterns**:
+patterns**, both on one bitonic sorting network:
 
-- :func:`oblivious_sort` — a bitonic sorting network: the sequence of
-  compare-exchange index pairs depends only on the input *length*, never on
-  the data. Each compare-exchange touches both positions and always writes
-  both back, so even a byte-level memory trace shows the same accesses for
-  any input.
-- :func:`oblivious_shuffle` — assigns each element a random tag drawn from a
-  large space and bitonically sorts by tag: a uniformly random permutation
-  whose access trace is again input-independent.
+- the network pads the input to a power of two with sentinel slots and runs
+  the fixed bitonic schedule one stage per numpy step. A stage views the
+  keys as ``(m / (2·stride), 2, stride)`` — every compare-exchange pair of
+  the stage at once — makes one lexicographic compare over (sentinel flag,
+  key words), and writes both slots of *every* pair back with ``np.where``.
+  The pairs touched, and the writes, depend only on the input *length*.
+- :func:`oblivious_sort` — that network over integer keys.
+- :func:`oblivious_shuffle` — that network over 16-byte random tags (two
+  big-endian ``uint64`` words each), drawn from the DRBG as one byte stream
+  in requests of at most ``MAX_REQUEST_BYTES``: a uniformly random
+  permutation whose access trace is again input-independent.
 
 An instrumented :class:`TraceRecorder` lets tests assert the
-data-independence property directly.
+data-independence property directly: it receives every (i, partner)
+compare-exchange pair in schedule order.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from repro.crypto.drbg import HmacDrbg
+
+TAG_BYTES = 16
 
 
 class TraceRecorder:
@@ -43,51 +51,76 @@ def _next_power_of_two(n: int) -> int:
     return power
 
 
+def _bitonic_order(
+    words: Sequence[np.ndarray], trace: TraceRecorder | None = None
+) -> np.ndarray:
+    """Positions of the ``n`` inputs in ascending (words...) order.
+
+    ``words`` are equal-length key columns, most significant first. Slots
+    are padded to a power of two with sentinels (flag 1) that compare
+    greater than every input, so they sink past position ``n``. In every
+    pair ``swap = (left > right) == ascending``: equal keys in a descending
+    pair swap, so the permutation matches the classic scalar network.
+    """
+    n = len(words[0]) if words else 0
+    if n <= 1:
+        return np.arange(n, dtype=np.int64)
+    m = _next_power_of_two(n)
+    flag = np.zeros(m, dtype=np.uint8)
+    flag[n:] = 1
+    keys = [flag]
+    for column in words:
+        padded = np.zeros(m, dtype=column.dtype)
+        padded[:n] = column
+        keys.append(padded)
+    keys.append(np.arange(m, dtype=np.int64))  # the payload: input position
+    block = 2
+    while block <= m:
+        stride = block // 2
+        while stride > 0:
+            groups = m // (2 * stride)
+            pairs = [key.reshape(groups, 2, stride) for key in keys]
+            if trace is not None:
+                left = np.arange(m).reshape(groups, 2, stride)[:, 0, :].ravel()
+                for i in left.tolist():
+                    trace.record(i, i + stride)
+            # i & block is constant within a group (block >= 2·stride).
+            ascending = ((np.arange(groups) * (2 * stride)) & block == 0)[:, None]
+            greater = np.zeros((groups, stride), dtype=bool)
+            for pair in reversed(pairs[:-1]):  # least significant word first
+                left, right = pair[:, 0, :], pair[:, 1, :]
+                greater = (left > right) | ((left == right) & greater)
+            swap = greater == ascending
+            for pair in pairs:
+                left, right = pair[:, 0, :], pair[:, 1, :]
+                # Both slots of every pair are written, swapped or not.
+                left[...], right[...] = (
+                    np.where(swap, right, left), np.where(swap, left, right)
+                )
+            stride //= 2
+        block *= 2
+    return keys[-1][:n]
+
+
 def oblivious_sort(
     items: Sequence[Any],
-    key: Callable[[Any], Any] = lambda item: item,
+    key: Callable[[Any], int] = lambda item: item,
     *,
     trace: TraceRecorder | None = None,
 ) -> list[Any]:
-    """Sort with a bitonic network (data-independent access pattern).
+    """Sort by integer (int64) keys with the bitonic network.
 
-    The input is padded to a power of two with sentinel slots that compare
-    greater than everything, sorted by the fixed network, and truncated.
     Runs in O(n log^2 n) compare-exchanges — the classic enclave-friendly
     tradeoff against comparison sorts whose branches leak.
     """
-    n = len(items)
-    if n <= 1:
-        return list(items)
-    padded_length = _next_power_of_two(n)
-    _SENTINEL = object()
-    buffer: list[Any] = list(items) + [_SENTINEL] * (padded_length - n)
+    keys = np.fromiter((key(item) for item in items), dtype=np.int64, count=len(items))
+    return [items[i] for i in _bitonic_order([keys], trace).tolist()]
 
-    def keyed(value: Any):
-        # (0, key) sorts before (1, anything): sentinels sink to the end.
-        return (1,) if value is _SENTINEL else (0, key(value))
 
-    def compare_exchange(i: int, j: int, ascending: bool) -> None:
-        if trace is not None:
-            trace.record(i, j)
-        left, right = buffer[i], buffer[j]
-        swap = (keyed(left) > keyed(right)) == ascending
-        # Always write both slots so the store trace is data-independent.
-        buffer[i], buffer[j] = (right, left) if swap else (left, right)
-
-    length = padded_length
-    block = 2
-    while block <= length:
-        stride = block // 2
-        while stride > 0:
-            for i in range(length):
-                partner = i ^ stride
-                if partner > i:
-                    ascending = (i & block) == 0
-                    compare_exchange(i, partner, ascending)
-            stride //= 2
-        block *= 2
-    return buffer[:n]
+def _draw_tags(rng: HmacDrbg, count: int) -> np.ndarray:
+    """``count`` 16-byte tags as a (count, 2) big-endian ``uint64`` array."""
+    stream = b"".join(rng.random_bytes_many(TAG_BYTES, count))
+    return np.frombuffer(stream, dtype=">u8").reshape(count, 2).astype(np.uint64)
 
 
 def oblivious_shuffle(
@@ -103,6 +136,6 @@ def oblivious_shuffle(
     collisions are astronomically unlikely and would only bias the order of
     the colliding pair.
     """
-    tagged = [(rng.random_bytes(16), item) for item in items]
-    shuffled = oblivious_sort(tagged, key=lambda pair: pair[0], trace=trace)
-    return [item for _, item in shuffled]
+    tags = _draw_tags(rng, len(items))
+    order = _bitonic_order([tags[:, 0], tags[:, 1]], trace)
+    return [items[i] for i in order.tolist()]
