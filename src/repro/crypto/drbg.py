@@ -13,6 +13,9 @@ from __future__ import annotations
 import hmac
 import hashlib
 
+# SP 800-90A, Table 2: HMAC_DRBG's max_number_of_bits_per_request is 2**19.
+MAX_REQUEST_BYTES = 2**19 // 8
+
 
 class HmacDrbg:
     """HMAC-SHA256 deterministic random bit generator.
@@ -41,7 +44,15 @@ class HmacDrbg:
             self._value = self._hmac(self._key, self._value)
 
     def random_bytes(self, n: int) -> bytes:
-        """Return ``n`` pseudorandom bytes."""
+        """Return ``n`` pseudorandom bytes, one SP 800-90A generate request.
+
+        A request is capped at ``MAX_REQUEST_BYTES`` (65 536 bytes, the
+        standard's per-request limit); a longer stream is several requests.
+        """
+        if n > MAX_REQUEST_BYTES:
+            raise ValueError(
+                f"random_bytes request of {n} bytes exceeds {MAX_REQUEST_BYTES}"
+            )
         out = bytearray()
         while len(out) < n:
             self._value = self._hmac(self._key, self._value)

@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.crypto.drbg import HmacDrbg
+from repro.crypto.drbg import MAX_REQUEST_BYTES, HmacDrbg
 
 TAG_BYTES = 16
 
@@ -119,7 +119,11 @@ def oblivious_sort(
 
 def _draw_tags(rng: HmacDrbg, count: int) -> np.ndarray:
     """``count`` 16-byte tags as a (count, 2) big-endian ``uint64`` array."""
-    stream = b"".join(rng.random_bytes_many(TAG_BYTES, count))
+    total = TAG_BYTES * count
+    stream = b"".join(
+        rng.random_bytes(min(MAX_REQUEST_BYTES, total - start))
+        for start in range(0, total, MAX_REQUEST_BYTES)
+    )
     return np.frombuffer(stream, dtype=">u8").reshape(count, 2).astype(np.uint64)
 
 

@@ -151,12 +151,15 @@ def test_merge_cost_scales_with_dirty_partitions():
 # ----------------------------------------------------------------------
 _KINDS = [f"ED{number}" for number in range(1, 10)]
 
-#: SHA-256 of the file saved by :func:`_merged_nine_kinds`, recorded from
-#: the per-row blob merge before the rebuild moved to ordinal segments. A
-#: merge that opens the same values under the same DRBG streams must keep
-#: every rebuilt partition, and thus the whole file, byte-identical.
+#: SHA-256 of the file saved after :func:`_merge_rounds`. A merge that
+#: opens the same values under the same DRBG streams must keep every rebuilt
+#: partition, and thus the whole file, byte-identical. Re-recorded when the
+#: merge shuffle began drawing its tags as one DRBG stream (64 KiB requests)
+#: instead of one request per tag; the network's permutation for given tags
+#: did not change (tests/sgx/test_oblivious.py checks it against the scalar
+#: reference network).
 _NINE_KINDS_MERGED_SHA256 = (
-    "f334bb2e11db8ecc70f3f893de132025fa2abde8035693659c1f298a69afb74f"
+    "ad2ce810040178480e3f3228cdee361b046b01888aa67d1c3a2bdd772601e3ac"
 )
 
 

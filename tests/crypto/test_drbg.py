@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.drbg import HmacDrbg
+from repro.crypto.drbg import MAX_REQUEST_BYTES, HmacDrbg
 
 
 def test_same_seed_same_stream():
@@ -118,3 +118,17 @@ def test_random_bytes_length(n: int):
 def test_randint_always_in_range(low: int, span: int):
     value = HmacDrbg(b"s").randint(low, low + span)
     assert low <= value <= low + span
+
+
+def test_random_bytes_refuses_more_than_one_request():
+    """SP 800-90A caps one HMAC_DRBG generate request at 2**19 bits."""
+    rng = HmacDrbg(b"cap")
+    assert MAX_REQUEST_BYTES == 65_536
+    assert len(rng.random_bytes(MAX_REQUEST_BYTES)) == MAX_REQUEST_BYTES
+    state = rng.random_bytes(32)
+    refused = HmacDrbg(b"cap")
+    with pytest.raises(ValueError):
+        refused.random_bytes(MAX_REQUEST_BYTES + 1)
+    # A refused request draws nothing: the stream continues unchanged.
+    refused.random_bytes(MAX_REQUEST_BYTES)
+    assert refused.random_bytes(32) == state

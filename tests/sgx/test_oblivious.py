@@ -2,11 +2,58 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.drbg import HmacDrbg
 from repro.sgx.oblivious import TraceRecorder, oblivious_shuffle, oblivious_sort
+
+
+def reference_bitonic_sort(items, key, trace=None):
+    """The scalar bitonic network, one Python compare-exchange per pair.
+
+    The oracle for the vectorised network: same schedule, same
+    ``swap = (left > right) == ascending`` rule (so equal keys in a
+    descending pair swap), same trace.
+    """
+    n = len(items)
+    if n <= 1:
+        return list(items)
+    length = 1
+    while length < n:
+        length *= 2
+    sentinel = object()
+    buffer = list(items) + [sentinel] * (length - n)
+
+    def keyed(value):
+        # (0, key) sorts before (1,): sentinels sink to the end.
+        return (1,) if value is sentinel else (0, key(value))
+
+    block = 2
+    while block <= length:
+        stride = block // 2
+        while stride > 0:
+            for i in range(length):
+                partner = i ^ stride
+                if partner > i:
+                    if trace is not None:
+                        trace.record(i, partner)
+                    ascending = (i & block) == 0
+                    left, right = buffer[i], buffer[partner]
+                    swap = (keyed(left) > keyed(right)) == ascending
+                    buffer[i], buffer[partner] = (right, left) if swap else (left, right)
+            stride //= 2
+        block *= 2
+    return buffer[:n]
+
+
+def _stream_tags(rng: HmacDrbg, count: int) -> list[bytes]:
+    """16-byte tags cut from one DRBG stream read in 64 KiB requests."""
+    stream = b""
+    while len(stream) < 16 * count:
+        stream += rng.random_bytes(min(65536, 16 * count - len(stream)))
+    return [stream[16 * i : 16 * (i + 1)] for i in range(count)]
 
 
 def test_sorts_correctly():
@@ -104,3 +151,78 @@ def test_merge_keeps_columns_row_aligned():
     for a, b in rows:
         result = system.query(f"SELECT b FROM t WHERE a = '{a}'")
         assert result.rows == [(b,)], (a, b)
+
+
+# ----------------------------------------------------------------------
+# The vectorised network against the scalar reference network
+# ----------------------------------------------------------------------
+NETWORK_SIZES = (0, 1, 2, 3, 5, 8, 9, 1_000, 4_096, 4_097, 6_200)
+
+
+def _reference(keys):
+    """(permutation, trace) of the scalar network sorting positions by keys."""
+    trace = TraceRecorder()
+    order = reference_bitonic_sort(list(range(len(keys))), keys.__getitem__, trace)
+    return order, trace.accesses
+
+
+def _tags_to_words(tags: list[bytes]) -> list[np.ndarray]:
+    words = np.frombuffer(b"".join(tags), dtype=">u8").reshape(len(tags), 2)
+    return [words[:, 0].astype(np.uint64), words[:, 1].astype(np.uint64)]
+
+
+@pytest.mark.parametrize("n", NETWORK_SIZES)
+def test_shuffle_matches_reference_network(n):
+    """Same tags, same permutation and the same compare-exchange trace."""
+    items = list(range(n))
+    trace = TraceRecorder()
+    shuffled = oblivious_shuffle(items, HmacDrbg(b"ref"), trace=trace)
+    order, reference_trace = _reference(_stream_tags(HmacDrbg(b"ref"), n))
+    assert shuffled == order
+    assert trace.accesses == reference_trace
+
+
+@pytest.mark.parametrize("n", NETWORK_SIZES)
+def test_tied_and_repeated_tags_match_reference_network(n):
+    """Equal tags keep the scalar network's tie behaviour, pair by pair."""
+    from repro.sgx.oblivious import _bitonic_order
+
+    fresh = _stream_tags(HmacDrbg(b"ties"), 7)
+    for tags in ([fresh[0]] * n, [fresh[i % 7] for i in range(n)]):
+        trace = TraceRecorder()
+        order = _bitonic_order(_tags_to_words(tags), trace)
+        reference_order, reference_trace = _reference(tags)
+        assert order.tolist() == reference_order
+        assert trace.accesses == reference_trace
+
+
+@pytest.mark.parametrize("n", NETWORK_SIZES)
+def test_integer_sort_matches_reference_network(n):
+    """``oblivious_sort`` runs the same network over integer keys."""
+    rng = HmacDrbg(b"keys")
+    for keys in (
+        [rng.randint(-50, 50) for _ in range(n)],
+        [7] * n,
+        [-(2**63), 2**63 - 1, 0] * (n // 3) + [0] * (n % 3),
+    ):
+        trace = TraceRecorder()
+        order = oblivious_sort(list(range(n)), key=keys.__getitem__, trace=trace)
+        reference_order, reference_trace = _reference(keys)
+        assert order == reference_order
+        assert trace.accesses == reference_trace
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(-3, 3), max_size=40))
+def test_integer_sort_permutation_matches_reference_property(keys):
+    order = oblivious_sort(list(range(len(keys))), key=keys.__getitem__)
+    assert order == _reference(keys)[0]
+
+
+def test_shuffle_draws_its_tags_as_one_stream():
+    """The tags of 10 000 items (160 000 bytes) are three DRBG requests:
+    the generator is left exactly where that stream leaves it."""
+    shuffled_rng, stream_rng = HmacDrbg(b"stream"), HmacDrbg(b"stream")
+    oblivious_shuffle(list(range(10_000)), shuffled_rng)
+    _stream_tags(stream_rng, 10_000)
+    assert shuffled_rng.random_bytes(32) == stream_rng.random_bytes(32)
