@@ -44,13 +44,6 @@ class TraceRecorder:
         self.accesses.append((i, j))
 
 
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power
-
-
 def _bitonic_order(
     words: Sequence[np.ndarray], trace: TraceRecorder | None = None
 ) -> np.ndarray:
@@ -62,18 +55,13 @@ def _bitonic_order(
     pair ``swap = (left > right) == ascending``: equal keys in a descending
     pair swap, so the permutation matches the classic scalar network.
     """
-    n = len(words[0]) if words else 0
+    n = len(words[0])
     if n <= 1:
-        return np.arange(n, dtype=np.int64)
-    m = _next_power_of_two(n)
-    flag = np.zeros(m, dtype=np.uint8)
-    flag[n:] = 1
-    keys = [flag]
-    for column in words:
-        padded = np.zeros(m, dtype=column.dtype)
-        padded[:n] = column
-        keys.append(padded)
-    keys.append(np.arange(m, dtype=np.int64))  # the payload: input position
+        return np.arange(n)
+    m = 1 << (n - 1).bit_length()
+    flag = np.pad(np.zeros(n, dtype=np.uint8), (0, m - n), constant_values=1)
+    # Key columns, then the payload: each slot's input position.
+    keys = [flag, *(np.pad(column, (0, m - n)) for column in words), np.arange(m)]
     block = 2
     while block <= m:
         stride = block // 2
@@ -81,8 +69,8 @@ def _bitonic_order(
             groups = m // (2 * stride)
             pairs = [key.reshape(groups, 2, stride) for key in keys]
             if trace is not None:
-                left = np.arange(m).reshape(groups, 2, stride)[:, 0, :].ravel()
-                for i in left.tolist():
+                slots = np.arange(m).reshape(groups, 2, stride)
+                for i in slots[:, 0, :].ravel().tolist():
                     trace.record(i, i + stride)
             # i & block is constant within a group (block >= 2·stride).
             ascending = ((np.arange(groups) * (2 * stride)) & block == 0)[:, None]
@@ -117,16 +105,6 @@ def oblivious_sort(
     return [items[i] for i in _bitonic_order([keys], trace).tolist()]
 
 
-def _draw_tags(rng: HmacDrbg, count: int) -> np.ndarray:
-    """``count`` 16-byte tags as a (count, 2) big-endian ``uint64`` array."""
-    total = TAG_BYTES * count
-    stream = b"".join(
-        rng.random_bytes(min(MAX_REQUEST_BYTES, total - start))
-        for start in range(0, total, MAX_REQUEST_BYTES)
-    )
-    return np.frombuffer(stream, dtype=">u8").reshape(count, 2).astype(np.uint64)
-
-
 def oblivious_shuffle(
     items: Sequence[Any],
     rng: HmacDrbg,
@@ -140,6 +118,11 @@ def oblivious_shuffle(
     collisions are astronomically unlikely and would only bias the order of
     the colliding pair.
     """
-    tags = _draw_tags(rng, len(items))
+    total = TAG_BYTES * len(items)
+    stream = b"".join(  # one DRBG stream, read in requests of <= 64 KiB
+        rng.random_bytes(min(MAX_REQUEST_BYTES, total - start))
+        for start in range(0, total, MAX_REQUEST_BYTES)
+    )
+    tags = np.frombuffer(stream, dtype=">u8").reshape(-1, 2).astype(np.uint64)
     order = _bitonic_order([tags[:, 0], tags[:, 1]], trace)
     return [items[i] for i in order.tolist()]
