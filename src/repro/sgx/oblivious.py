@@ -73,7 +73,7 @@ def _bitonic_order(
                 for i in slots[:, 0, :].ravel().tolist():
                     trace.record(i, i + stride)
             # i & block is constant within a group (block >= 2·stride).
-            ascending = ((np.arange(groups) * (2 * stride)) & block == 0)[:, None]
+            ascending = (((np.arange(groups) * 2 * stride) & block) == 0)[:, None]
             greater = np.zeros((groups, stride), dtype=bool)
             for pair in reversed(pairs[:-1]):  # least significant word first
                 left, right = pair[:, 0, :], pair[:, 1, :]
