@@ -7,13 +7,15 @@ LOC. The other systems' numbers are quoted from the paper; this benchmark
 
 - **storage overhead** of the best compressed encrypted dictionary (ED1-3)
   vs the plaintext file — the paper reports < 100% (negative on C2);
-- **performance overhead** of EncDBDB vs PlainDBDB (paper: ~8.9%);
+- **performance overhead** of EncDBDB vs PlainDBDB (paper: ~8.9%), the
+  median of repeated measurements with its interquartile range;
 - **enclave LOC** of the reproduction's trusted computing base (paper:
   1129 C LOC).
 """
 
 from __future__ import annotations
 
+import statistics
 from pathlib import Path
 
 import pytest
@@ -39,7 +41,13 @@ TCB_FILES = (
     "crypto/gcm.py",
     "crypto/aes.py",
     "crypto/kdf.py",
+    "crypto/drbg.py",  # every IV, bucket split, rotation and MERGE shuffle
 )
+
+#: The performance-overhead cell is the median of this many overhead
+#: measurements (each one pass of the C2/ED1 query set per engine); one
+#: pass swings by a factor of two between runs.
+PERF_OVERHEAD_REPEATS = 11
 
 
 def count_tcb_loc() -> dict[str, int]:
@@ -85,15 +93,19 @@ def encdbdb_row(workbench):
     )
     storage_overhead = storage["ED1/ED2/ED3"] / plaintext - 1.0
 
-    stats = measure_cell(workbench, "ED1", "C2", 100)
-    perf_overhead = stats["EncDBDB"].mean / stats["PlainDBDB"].mean - 1.0
+    overheads = []
+    for _ in range(PERF_OVERHEAD_REPEATS):
+        stats = measure_cell(workbench, "ED1", "C2", 100)
+        overheads.append(stats["EncDBDB"].mean / stats["PlainDBDB"].mean - 1.0)
+    # (first quartile, median, third quartile)
+    perf_overhead = tuple(statistics.quantiles(overheads, n=4))
 
     loc = count_tcb_loc()
     return storage_overhead, perf_overhead, loc
 
 
 def test_report_table1(benchmark, encdbdb_row):
-    storage_overhead, perf_overhead, loc = encdbdb_row
+    storage_overhead, (perf_q1, perf_median, perf_q3), loc = encdbdb_row
     published = [
         ("EnclaveDB [71]", "OLTP", "storage+query engine", "no", "N/A",
          "> 20 %", "~235,000"),
@@ -109,7 +121,7 @@ def test_report_table1(benchmark, encdbdb_row):
             "dictionaries",
             "yes",
             f"{storage_overhead * 100:+.1f} %",
-            f"{perf_overhead * 100:+.1f} %",
+            f"{perf_median * 100:+.1f} %",
             f"{sum(loc.values()):,} (Python)",
         ),
     ]
@@ -119,6 +131,10 @@ def test_report_table1(benchmark, encdbdb_row):
         ["approach", "workload", "protection object", "compression",
          "storage ovh", "perf ovh", "enclave LOC"],
         published,
+    )
+    text += (
+        f"\n\nperf ovh: median of {PERF_OVERHEAD_REPEATS} repeats, IQR "
+        f"{perf_q1 * 100:+.1f} % .. {perf_q3 * 100:+.1f} %"
     )
     text += "\n\nTrusted-computing-base LOC breakdown:\n" + "\n".join(
         f"  {name:28s} {count:5d}" for name, count in encdbdb_row[2].items()
@@ -142,8 +158,8 @@ def test_performance_overhead_moderate(shape, encdbdb_row):
     tolerance is generous; the claim preserved is 'encryption does not
     change the complexity class'.
     """
-    _, perf_overhead, _ = encdbdb_row
-    assert perf_overhead < 4.0
+    _, (_, perf_median, _), _ = encdbdb_row
+    assert perf_median < 4.0
 
 
 def test_enclave_tcb_is_small(shape, encdbdb_row):

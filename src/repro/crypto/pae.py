@@ -86,11 +86,18 @@ class Pae(ABC):
             self.encrypt_count += encrypts
             self.decrypt_count += decrypts
 
-    def _draw_iv(self, rng: HmacDrbg | None) -> bytes:
+    def _read_ivs(self, rng: HmacDrbg | None, count: int) -> list[bytes]:
+        """``count`` IVs cut from one read of ``rng``'s pooled stream (the
+        backend's own generator, under the lock, without one)."""
         if rng is not None:
-            return rng.random_bytes(PAE_NONCE_BYTES)
-        with self._counter_lock:
-            return self._rng.random_bytes(PAE_NONCE_BYTES)
+            stream = rng.read(PAE_NONCE_BYTES * count)
+        else:
+            with self._counter_lock:
+                stream = self._rng.read(PAE_NONCE_BYTES * count)
+        return [
+            stream[start : start + PAE_NONCE_BYTES]
+            for start in range(0, len(stream), PAE_NONCE_BYTES)
+        ]
 
     def encrypt(
         self,
@@ -109,7 +116,7 @@ class Pae(ABC):
         if len(key) != PAE_KEY_BYTES:
             raise CryptoError(f"PAE key must be {PAE_KEY_BYTES} bytes")
         self.add_operation_counts(encrypts=1)
-        iv = self._draw_iv(rng)
+        (iv,) = self._read_ivs(rng, 1)
         ciphertext, tag = self._seal(key, iv, plaintext, aad)
         return iv + ciphertext + tag
 
@@ -124,27 +131,17 @@ class Pae(ABC):
         """Seal a whole batch in one vectorized pass.
 
         Bit-for-bit identical to calling :meth:`encrypt` once per plaintext
-        with the same ``rng`` (each IV is a separate 12-byte draw, exactly
-        the sequential stream), but the key schedule, counter update and —
-        without an explicit ``rng`` — the IV-generator lock are amortized
-        over the batch instead of paid per value.
+        with the same ``rng``: the N IVs are the next ``12·N`` bytes of the
+        generator's pooled stream, however the reads are split. The key
+        schedule, the counter update and — without an explicit ``rng`` —
+        the IV-generator lock are paid once per batch instead of per value.
         """
         if len(key) != PAE_KEY_BYTES:
             raise CryptoError(f"PAE key must be {PAE_KEY_BYTES} bytes")
         if not plaintexts:
             return []
-        # All N IVs come from the DRBG in one batched call (byte-identical
-        # to N separate draws) and the counter is bumped once — the only
-        # lock traffic of a batch is a single acquisition either way.
-        if rng is not None:
-            ivs = rng.random_bytes_many(PAE_NONCE_BYTES, len(plaintexts))
-            self.add_operation_counts(encrypts=len(plaintexts))
-        else:
-            with self._counter_lock:
-                ivs = self._rng.random_bytes_many(
-                    PAE_NONCE_BYTES, len(plaintexts)
-                )
-                self.encrypt_count += len(plaintexts)
+        ivs = self._read_ivs(rng, len(plaintexts))
+        self.add_operation_counts(encrypts=len(plaintexts))
         return self._seal_batch(key, ivs, plaintexts, aad)
 
     def decrypt(self, key: bytes, blob: bytes, aad: bytes = b"") -> bytes:

@@ -20,7 +20,8 @@ def get_rnd_bucket_sizes(occurrences: int, bsmax: int, rng: HmacDrbg) -> list[in
     """Return the random bucket sizes for a value occurring ``occurrences`` times.
 
     Follows Algorithm 5 line by line; the returned list is ``bssizes`` and
-    its length is ``#bs``.
+    its length is ``#bs``. Each size is one draw of the rejection sampler
+    over ``rng``'s pooled stream (:meth:`HmacDrbg.read_randint`).
 
     >>> sizes = get_rnd_bucket_sizes(10, 3, HmacDrbg(b"doc"))
     >>> sum(sizes)
@@ -36,7 +37,7 @@ def get_rnd_bucket_sizes(occurrences: int, bsmax: int, rng: HmacDrbg) -> list[in
     total = 0
     bucket_sizes: list[int] = []
     while total < occurrences:
-        size = rng.randint(1, bsmax)
+        size = rng.read_randint(1, bsmax)
         bucket_sizes.append(size)
         previous_total = total
         total += size

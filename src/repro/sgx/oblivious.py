@@ -14,9 +14,10 @@ patterns**, both on one bitonic sorting network:
   The pairs touched, and the writes, depend only on the input *length*.
 - :func:`oblivious_sort` — that network over integer keys.
 - :func:`oblivious_shuffle` — that network over 16-byte random tags (two
-  big-endian ``uint64`` words each), drawn from the DRBG as one byte stream
-  in requests of at most ``MAX_REQUEST_BYTES``: a uniformly random
-  permutation whose access trace is again input-independent.
+  big-endian ``uint64`` words each), one read of the DRBG's pooled stream
+  (:meth:`~repro.crypto.drbg.HmacDrbg.read`, refilled in requests of at
+  most ``MAX_REQUEST_BYTES``): a uniformly random permutation whose access
+  trace is again input-independent.
 
 An instrumented :class:`TraceRecorder` lets tests assert the
 data-independence property directly: it receives every (i, partner)
@@ -29,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.crypto.drbg import MAX_REQUEST_BYTES, HmacDrbg
+from repro.crypto.drbg import HmacDrbg
 
 TAG_BYTES = 16
 
@@ -118,11 +119,7 @@ def oblivious_shuffle(
     collisions are astronomically unlikely and would only bias the order of
     the colliding pair.
     """
-    total = TAG_BYTES * len(items)
-    stream = b"".join(  # one DRBG stream, read in requests of <= 64 KiB
-        rng.random_bytes(min(MAX_REQUEST_BYTES, total - start))
-        for start in range(0, total, MAX_REQUEST_BYTES)
-    )
+    stream = rng.read(TAG_BYTES * len(items))  # the DRBG's pooled stream
     tags = np.frombuffer(stream, dtype=">u8").reshape(-1, 2).astype(np.uint64)
     order = _bitonic_order([tags[:, 0], tags[:, 1]], trace)
     return [items[i] for i in order.tolist()]

@@ -153,13 +153,12 @@ _KINDS = [f"ED{number}" for number in range(1, 10)]
 
 #: SHA-256 of the file saved after :func:`_merge_rounds`. A merge that
 #: opens the same values under the same DRBG streams must keep every rebuilt
-#: partition, and thus the whole file, byte-identical. Re-recorded when the
-#: merge shuffle began drawing its tags as one DRBG stream (64 KiB requests)
-#: instead of one request per tag; the network's permutation for given tags
-#: did not change (tests/sgx/test_oblivious.py checks it against the scalar
-#: reference network).
+#: partition, and thus the whole file, byte-identical. It changes only when
+#: the DRBG stream a build or the merge shuffle reads changes (CHANGES.md
+#: names each old and new digest); the shuffle's network is checked
+#: against the scalar reference network in tests/sgx/test_oblivious.py.
 _NINE_KINDS_MERGED_SHA256 = (
-    "ad2ce810040178480e3f3228cdee361b046b01888aa67d1c3a2bdd772601e3ac"
+    "18ea47b7b2509af613451e4a30565ddd99b02b0c67bbff34a7f27dfed3001e79"
 )
 
 

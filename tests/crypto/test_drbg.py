@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.drbg import MAX_REQUEST_BYTES, HmacDrbg
+from repro.crypto.drbg import FIRST_REFILL_BYTES, MAX_REQUEST_BYTES, HmacDrbg
 
 
 def test_same_seed_same_stream():
@@ -21,17 +22,94 @@ def test_different_seeds_diverge():
     assert HmacDrbg(b"seed-a").random_bytes(32) != HmacDrbg(b"seed-b").random_bytes(32)
 
 
-@pytest.mark.parametrize("n,count", [(12, 1), (12, 37), (16, 5), (1, 100), (12, 0)])
-def test_random_bytes_many_replays_per_call_chain(n: int, count: int):
-    """The batched draw is byte-identical to ``count`` sequential calls —
-    including the per-call ratchet, so the generator state afterwards matches
-    too (the next draw from either instance is identical)."""
-    loop = HmacDrbg(b"batch-identity")
-    batch = HmacDrbg(b"batch-identity")
-    assert batch.random_bytes_many(n, count) == [
-        loop.random_bytes(n) for _ in range(count)
-    ]
-    assert batch.random_bytes(n) == loop.random_bytes(n)
+def test_request_methods_keep_their_outputs():
+    """``random_bytes``, ``randint``, ``shuffle`` and ``fork`` draw one
+    request per call, as before the pooled stream existed: workload
+    generation, proxy salts and channel keys depend on these outputs. The
+    digest was recorded before ``read`` was added."""
+    rng = HmacDrbg(b"pinned-outputs")
+    digest = hashlib.sha256()
+    digest.update(rng.random_bytes(100))
+    draws = [rng.randint(0, 1000) for _ in range(50)]
+    draws += [rng.randint(-5, 2**40) for _ in range(20)]
+    digest.update(str(draws).encode("ascii"))
+    items = list(range(300))
+    rng.shuffle(items)
+    digest.update(str(items).encode("ascii"))
+    digest.update(rng.fork("child").random_bytes(64))
+    digest.update(rng.random_bytes(MAX_REQUEST_BYTES))
+    assert digest.hexdigest() == (
+        "2d29e520e852fc4518986655415e1e92f7133269425e7c46752869bb0aea703c"
+    )
+
+
+#: Splits of one 200 000-byte read: across the first refills (512, then
+#: 1 024 bytes), at a refill boundary exactly, and reads over 64 KiB.
+_SPLITS = [
+    [200_000],
+    [12] * 100 + [198_800],
+    [511, 1, 1, 1023, 1, 198_463],
+    [512, 1024, 2048, 196_416],
+    [70_000, 3, 129_997],
+    [65_536, 65_536, 68_928],
+]
+
+
+@pytest.mark.parametrize("split", _SPLITS)
+def test_read_is_the_same_stream_however_it_is_split(split):
+    whole, parts = HmacDrbg(b"stream"), HmacDrbg(b"stream")
+    assert sum(split) == 200_000
+    assert b"".join(parts.read(n) for n in split) == whole.read(200_000)
+    # Pool and generator state end up in the same place as well.
+    assert parts.read(40) == whole.read(40)
+    assert parts.random_bytes(32) == whole.random_bytes(32)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(min_value=0, max_value=3000), max_size=12))
+def test_read_split_property(split):
+    whole, parts = HmacDrbg(b"split"), HmacDrbg(b"split")
+    assert b"".join(parts.read(n) for n in split) == whole.read(sum(split))
+
+
+def _spy_requests(rng: HmacDrbg, monkeypatch) -> list[int]:
+    sizes: list[int] = []
+    request = rng.random_bytes
+
+    def spy(n: int) -> bytes:
+        sizes.append(n)
+        return request(n)
+
+    monkeypatch.setattr(rng, "random_bytes", spy)
+    return sizes
+
+
+def test_read_refills_with_growing_requests_up_to_the_cap(monkeypatch):
+    """Refills start at 512 bytes and double up to ``MAX_REQUEST_BYTES``;
+    no request of the stream exceeds the cap, however long the read."""
+    rng = HmacDrbg(b"cap")
+    sizes = _spy_requests(rng, monkeypatch)
+    assert len(rng.read(12)) == 12  # a small consumer generates little
+    assert sizes == [FIRST_REFILL_BYTES]
+    assert len(rng.read(300_000)) == 300_000
+    for _ in range(5_000):
+        rng.read_randint(0, 2**40)
+    assert max(sizes) == MAX_REQUEST_BYTES
+    assert sizes[:8] == [FIRST_REFILL_BYTES << i for i in range(8)]
+    assert all(size == MAX_REQUEST_BYTES for size in sizes[7:])
+
+
+def test_fork_after_a_refill_leaves_the_pool_alone():
+    """``fork`` is a request on the state the last refill left; the bytes
+    already pooled are still served to later reads."""
+    forked, plain = HmacDrbg(b"fork-pool"), HmacDrbg(b"fork-pool")
+    stream = plain.read(1_000)
+    assert forked.read(10) == stream[:10]
+    child = forked.fork("child")
+    assert forked.read(490) == stream[10:500]
+    refilled = HmacDrbg(b"fork-pool")
+    refilled.random_bytes(FIRST_REFILL_BYTES)  # the first refill's request
+    assert child.random_bytes(16) == refilled.fork("child").random_bytes(16)
 
 
 def test_seed_types_accepted():
@@ -66,6 +144,41 @@ def test_randint_roughly_uniform():
     counts = Counter(rng.randint(1, 4) for _ in range(8000))
     for value in (1, 2, 3, 4):
         assert 1700 < counts[value] < 2300, counts
+
+
+def test_read_randint_roughly_uniform():
+    """The pooled sampler passes the same check as ``randint``."""
+    rng = HmacDrbg(b"uniform")
+    counts = Counter(rng.read_randint(1, 4) for _ in range(8000))
+    for value in (1, 2, 3, 4):
+        assert 1700 < counts[value] < 2300, counts
+
+
+def test_read_randint_bounds():
+    rng = HmacDrbg(b"s")
+    values = [rng.read_randint(3, 7) for _ in range(500)]
+    assert min(values) == 3
+    assert max(values) == 7
+    assert rng.read_randint(5, 5) == 5
+    with pytest.raises(ValueError):
+        rng.read_randint(5, 4)
+
+
+@settings(max_examples=30)
+@given(low=st.integers(-1000, 1000), span=st.integers(0, 1000))
+def test_read_randint_always_in_range(low: int, span: int):
+    value = HmacDrbg(b"s").read_randint(low, low + span)
+    assert low <= value <= low + span
+
+
+def test_read_shuffle_is_a_reproducible_permutation():
+    items = list(range(50))
+    first, second = list(items), list(items)
+    HmacDrbg(b"s").read_shuffle(first)
+    HmacDrbg(b"s").read_shuffle(second)
+    assert first == second
+    assert sorted(first) == items
+    assert first != items  # astronomically unlikely to be identity
 
 
 def test_shuffle_is_permutation():

@@ -49,10 +49,8 @@ def reference_bitonic_sort(items, key, trace=None):
 
 
 def _stream_tags(rng: HmacDrbg, count: int) -> list[bytes]:
-    """16-byte tags cut from one DRBG stream read in 64 KiB requests."""
-    stream = b""
-    while len(stream) < 16 * count:
-        stream += rng.random_bytes(min(65536, 16 * count - len(stream)))
+    """16-byte tags cut from one read of the DRBG's pooled stream."""
+    stream = rng.read(16 * count)
     return [stream[16 * i : 16 * (i + 1)] for i in range(count)]
 
 
@@ -220,9 +218,11 @@ def test_integer_sort_permutation_matches_reference_property(keys):
 
 
 def test_shuffle_draws_its_tags_as_one_stream():
-    """The tags of 10 000 items (160 000 bytes) are three DRBG requests:
-    the generator is left exactly where that stream leaves it."""
+    """The tags of 10 000 items (160 000 bytes, more than one request) are
+    one read of the pooled stream: the generator's pool and state are left
+    exactly where that read leaves them."""
     shuffled_rng, stream_rng = HmacDrbg(b"stream"), HmacDrbg(b"stream")
     oblivious_shuffle(list(range(10_000)), shuffled_rng)
     _stream_tags(stream_rng, 10_000)
+    assert shuffled_rng.read(32) == stream_rng.read(32)
     assert shuffled_rng.random_bytes(32) == stream_rng.random_bytes(32)
