@@ -10,10 +10,9 @@ not need).
 **Requests.** :meth:`HmacDrbg.random_bytes` is one SP 800-90A generate
 request: one HMAC block per 32 output bytes, then the post-generate state
 update (two more HMACs). A request is capped at :data:`MAX_REQUEST_BYTES`.
-:meth:`~HmacDrbg.randint`, :meth:`~HmacDrbg.shuffle` and
-:meth:`~HmacDrbg.fork` make one request per sample (per fork); workload
-generation, proxy salts and channel keys draw from them, so their outputs
-never change.
+:meth:`~HmacDrbg.randint` and :meth:`~HmacDrbg.fork` make one request per
+sample (per fork); workload generation, proxy salts and channel keys draw
+from them, so their outputs never change.
 
 **The pool.** A 12-byte IV or a one-byte bucket size as its own request
 costs three HMACs, so the bulk consumers — PAE IVs, bucket sizes, rotation
@@ -24,15 +23,15 @@ with one ordinary request: 512 bytes first, doubling per refill up to
 ``MAX_REQUEST_BYTES``. A small consumer (a per-partition fork that needs a
 dozen bytes) generates little; a long read is served by several requests.
 The stream is the same however it is split into reads.
-:meth:`~HmacDrbg.read_randint` and :meth:`~HmacDrbg.read_shuffle` run the
-one rejection sampler and the one Fisher–Yates of ``randint``/``shuffle``
-over the stream.
+:meth:`~HmacDrbg.read_randint` runs ``randint``'s one rejection sampler
+over the stream, and :meth:`~HmacDrbg.shuffle` is a Fisher–Yates over it.
 
-**Pool and requests together.** ``random_bytes`` and ``fork`` never touch
-the pool: they are requests on the DRBG state as the last refill left it.
-A ``fork`` after a refill therefore derives its child from the state past
-that refill, and the bytes already pooled are still served to later reads.
-Output is a pure function of the seed and the sequence of calls.
+**Pool and requests together.** ``random_bytes``, ``randint`` and ``fork``
+never touch the pool: they are requests on the DRBG state as the last
+refill left it. A ``fork`` after a refill therefore derives its child from
+the state past that refill, and the bytes already pooled are still served
+to later reads. Output is a pure function of the seed and the sequence of
+calls.
 """
 
 from __future__ import annotations
@@ -65,13 +64,6 @@ def _randint(draw: Callable[[int], bytes], low: int, high: int) -> int:
             return low + candidate % span
 
 
-def _shuffle(draw: Callable[[int], bytes], items: MutableSequence) -> None:
-    """In-place Fisher–Yates over ``draw(n)`` bytes."""
-    for i in range(len(items) - 1, 0, -1):
-        j = _randint(draw, 0, i)
-        items[i], items[j] = items[j], items[i]
-
-
 class HmacDrbg:
     """HMAC-SHA256 deterministic random bit generator.
 
@@ -94,15 +86,13 @@ class HmacDrbg:
         self._pool_pos = 0
         self._refill_bytes = FIRST_REFILL_BYTES
 
-    def _hmac(self, key: bytes, data: bytes) -> bytes:
-        return hmac.digest(key, data, "sha256")
-
     def _update(self, provided: bytes | None = None) -> None:
-        self._key = self._hmac(self._key, self._value + b"\x00" + (provided or b""))
-        self._value = self._hmac(self._key, self._value)
+        key = hmac.digest(self._key, self._value + b"\x00" + (provided or b""), "sha256")
+        value = hmac.digest(key, self._value, "sha256")
         if provided is not None:
-            self._key = self._hmac(self._key, self._value + b"\x01" + provided)
-            self._value = self._hmac(self._key, self._value)
+            key = hmac.digest(key, value + b"\x01" + provided, "sha256")
+            value = hmac.digest(key, value, "sha256")
+        self._key, self._value = key, value
 
     def random_bytes(self, n: int) -> bytes:
         """Return ``n`` pseudorandom bytes, one SP 800-90A generate request.
@@ -125,6 +115,8 @@ class HmacDrbg:
 
     def read(self, n: int) -> bytes:
         """The next ``n`` bytes of the pooled stream (module docstring)."""
+        if n < 0:
+            raise ValueError(f"cannot read {n} bytes")
         start = self._pool_pos
         end = start + n
         if end <= len(self._pool):
@@ -148,12 +140,10 @@ class HmacDrbg:
         return _randint(self.read, low, high)
 
     def shuffle(self, items: MutableSequence) -> None:
-        """In-place Fisher-Yates shuffle, one request per sample."""
-        _shuffle(self.random_bytes, items)
-
-    def read_shuffle(self, items: MutableSequence) -> None:
-        """:meth:`shuffle` over the pooled stream."""
-        _shuffle(self.read, items)
+        """In-place Fisher-Yates shuffle over the pooled stream."""
+        for i in range(len(items) - 1, 0, -1):
+            j = _randint(self.read, 0, i)
+            items[i], items[j] = items[j], items[i]
 
     def choice(self, items: list):
         """Return a uniformly random element of a non-empty sequence."""

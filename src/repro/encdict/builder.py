@@ -271,7 +271,7 @@ def _arrange(
         order_of_old = sorted_old
     else:  # UNSORTED: random shuffle
         order_of_old = list(range(n))
-        rng.read_shuffle(order_of_old)
+        rng.shuffle(order_of_old)
 
     new_entries = [entries[old] for old in order_of_old]
     new_vid_of_old = {old: new for new, old in enumerate(order_of_old)}
@@ -299,7 +299,7 @@ def _build_attribute_vector(
         if len(vid_list) == 1:
             continue  # fast path: a single ValueID needs no pool
         pool = [vid for vid, capacity in vid_list for _ in range(capacity)]
-        rng.read_shuffle(pool)
+        rng.shuffle(pool)
         pools[value] = pool
 
     attribute_vector = np.empty(len(values), dtype=np.int64)

@@ -23,23 +23,20 @@ def test_different_seeds_diverge():
 
 
 def test_request_methods_keep_their_outputs():
-    """``random_bytes``, ``randint``, ``shuffle`` and ``fork`` draw one
-    request per call, as before the pooled stream existed: workload
-    generation, proxy salts and channel keys depend on these outputs. The
-    digest was recorded before ``read`` was added."""
+    """``random_bytes``, ``randint`` and ``fork`` draw one request per
+    call, as before the pooled stream existed: workload generation, proxy
+    salts and channel keys depend on these outputs. The digest was recorded
+    before ``read`` was added."""
     rng = HmacDrbg(b"pinned-outputs")
     digest = hashlib.sha256()
     digest.update(rng.random_bytes(100))
     draws = [rng.randint(0, 1000) for _ in range(50)]
     draws += [rng.randint(-5, 2**40) for _ in range(20)]
     digest.update(str(draws).encode("ascii"))
-    items = list(range(300))
-    rng.shuffle(items)
-    digest.update(str(items).encode("ascii"))
     digest.update(rng.fork("child").random_bytes(64))
     digest.update(rng.random_bytes(MAX_REQUEST_BYTES))
     assert digest.hexdigest() == (
-        "2d29e520e852fc4518986655415e1e92f7133269425e7c46752869bb0aea703c"
+        "6b0b0314d307b90ba9cba3f0ae585c9c557b360c35b2f56340bbed796d295da5"
     )
 
 
@@ -97,6 +94,25 @@ def test_read_refills_with_growing_requests_up_to_the_cap(monkeypatch):
     assert max(sizes) == MAX_REQUEST_BYTES
     assert sizes[:8] == [FIRST_REFILL_BYTES << i for i in range(8)]
     assert all(size == MAX_REQUEST_BYTES for size in sizes[7:])
+
+
+def test_read_rejects_a_negative_length():
+    """A negative read must not move the pool back and serve bytes twice:
+    every PAE IV is cut from this stream."""
+    rng, fresh = HmacDrbg(b"negative"), HmacDrbg(b"negative")
+    assert rng.read(20) == fresh.read(20)
+    with pytest.raises(ValueError):
+        rng.read(-1)
+    assert rng.read(20) == fresh.read(20)
+
+
+def test_shuffle_reads_the_pooled_stream(monkeypatch):
+    """A shuffle of 50 items is served by the first refill, not by one
+    request per sample."""
+    rng = HmacDrbg(b"shuffle-pool")
+    sizes = _spy_requests(rng, monkeypatch)
+    rng.shuffle(list(range(50)))
+    assert sizes == [FIRST_REFILL_BYTES]
 
 
 def test_fork_after_a_refill_leaves_the_pool_alone():
@@ -169,16 +185,6 @@ def test_read_randint_bounds():
 def test_read_randint_always_in_range(low: int, span: int):
     value = HmacDrbg(b"s").read_randint(low, low + span)
     assert low <= value <= low + span
-
-
-def test_read_shuffle_is_a_reproducible_permutation():
-    items = list(range(50))
-    first, second = list(items), list(items)
-    HmacDrbg(b"s").read_shuffle(first)
-    HmacDrbg(b"s").read_shuffle(second)
-    assert first == second
-    assert sorted(first) == items
-    assert first != items  # astronomically unlikely to be identity
 
 
 def test_shuffle_is_permutation():
