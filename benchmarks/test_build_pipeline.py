@@ -1,11 +1,12 @@
 """Encrypted-dictionary build time by kind (the Table 6 build-time shape).
 
-Measures per-kind single-column build times for ED1/ED3/ED7/ED9 and emits
-machine-readable ``results/BENCH_build.json`` (uploaded by the
-``build-bench`` CI job): the repetition-hiding kinds pad every value's
-frequency up to a block bound, so their dictionaries are strictly larger
-and their builds strictly slower than the repetition-revealing kinds over
-the same data.
+Measures per-kind single-column build times for ED1/ED3/ED7/ED9 through
+the shipped streaming build (:func:`repro.encdict.pipeline.build_partitions`,
+the bulk-load path) and emits machine-readable ``results/BENCH_build.json``
+(uploaded by the ``build-bench`` CI job): the repetition-hiding kinds pad
+every value's frequency up to a block bound, so their dictionaries are
+strictly larger and their builds strictly slower than the
+repetition-revealing kinds over the same data.
 
 Scale knob: ``ENCDBDB_BUILD_BENCH_ROWS`` (default 131,072; shrink locally
 for quick runs).
@@ -23,11 +24,11 @@ import pytest
 from conftest import RESULTS_DIR, write_result
 from repro.bench import BenchStats
 from repro.bench.report import format_table
-from repro.columnstore.types import parse_type
+from repro.columnstore.types import ColumnSpec, parse_type
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.pae import default_pae
-from repro.encdict.builder import encdb_build_partitioned
 from repro.encdict.options import kind_by_name
+from repro.encdict.pipeline import ColumnPlan, build_partitions
 
 KIND_ROWS = int(os.environ.get("ENCDBDB_BUILD_BENCH_ROWS", 1 << 17))
 BUILD_PARTITIONS = 8
@@ -48,23 +49,27 @@ def kind_runs():
     runs = {}
     for kind_name in KINDS:
         pae = default_pae(rng=HmacDrbg(f"shape-{kind_name}"))
+        spec = ColumnSpec(
+            "c", parse_type("INTEGER"), protection=kind_by_name(kind_name), bsmax=BSMAX
+        )
+        plan = ColumnPlan(
+            spec, values, key=b"\x06" * 16, rng=HmacDrbg(f"shape-rng-{kind_name}")
+        )
         start = time.perf_counter()
-        builds = encdb_build_partitioned(
-            values,
-            kind_by_name(kind_name),
-            partition_rows=max(1, KIND_ROWS // BUILD_PARTITIONS),
-            value_type=parse_type("INTEGER"),
-            key=b"\x06" * 16,
-            pae=pae,
-            rng=HmacDrbg(f"shape-rng-{kind_name}"),
-            bsmax=BSMAX,
-            table_name="bench",
-            column_name="c",
+        partitions = list(
+            build_partitions(
+                "bench",
+                {"c": plan},
+                partition_rows=max(1, KIND_ROWS // BUILD_PARTITIONS),
+                pae=pae,
+            )
         )
         runs[kind_name] = {
             "rows": KIND_ROWS,
             "build_s": time.perf_counter() - start,
-            "dictionary_entries": sum(b.stats.dictionary_entries for b in builds),
+            "dictionary_entries": sum(
+                part.builds["c"].stats.dictionary_entries for part in partitions
+            ),
             "encrypt_operations": pae.encrypt_count,
         }
     return runs

@@ -93,8 +93,8 @@ def test_ed9_c2_slower_than_c1_at_rs100(shape, cells, workbench):
     """
     import numpy as np
 
+    from repro.client.proxy import encrypt_search_range
     from repro.encdict.attrvect import attr_vect_search
-    from repro.encdict.enclave_app import encrypt_search_range
     from repro.encdict.search import OrdinalRange
     from repro.sgx.costs import CostModel
 

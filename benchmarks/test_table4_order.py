@@ -15,8 +15,8 @@ import pytest
 
 from conftest import write_result
 from repro.bench.report import format_table
+from repro.client.proxy import encrypt_search_range
 from repro.encdict.attrvect import attr_vect_search
-from repro.encdict.enclave_app import encrypt_search_range
 from repro.encdict.search import OrdinalRange
 from repro.sgx.costs import CostModel
 

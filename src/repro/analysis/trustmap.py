@@ -32,6 +32,12 @@ Unmapped modules default to ``untrusted`` — the map fails closed.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+from typing import Iterable
+
+from repro.analysis.astutil import resolve_import, walk_runtime
+
 TRUST_ENCLAVE = "enclave"
 TRUST_CRYPTO = "crypto"
 TRUST_OWNER = "owner"
@@ -70,11 +76,13 @@ MODULE_TRUST: dict[str, str] = {
     "repro.encdict.builder": TRUST_OWNER,
     "repro.encdict.pipeline": TRUST_OWNER,
     "repro.encdict.buckets": TRUST_OWNER,
-    "repro.encdict.encode": TRUST_OWNER,
     "repro.encdict.options": TRUST_PUBLIC,
     "repro.encdict.dictionary": TRUST_PUBLIC,  # ciphertext containers only
     "repro.encdict.attrvect": TRUST_UNTRUSTED,
     "repro.columnstore": TRUST_UNTRUSTED,
+    # A pure value codec (the enclave decodes entries with it); its only
+    # import is repro.exceptions.
+    "repro.columnstore.types": TRUST_PUBLIC,
     # Online rotation (PR 8): the migration engine runs on the DBaaS side —
     # it schedules shadow rebuilds and swaps ciphertext partitions, but all
     # re-encryption happens inside the enclave via the rotate_* ecalls, so
@@ -147,7 +155,7 @@ OWNER_SURFACE: dict[str, frozenset[str]] = {
     "repro.sgx.channel": frozenset({"SecureChannel"}),
     "repro.sgx.cache": frozenset({"EnclaveLruCache"}),  # analysis tooling
     "repro.encdict.enclave_app": frozenset(
-        {"encrypt_search_range", "decode_group_frame", "AGGREGATE_KEY_COLUMN"}
+        {"decode_group_frame", "AGGREGATE_KEY_COLUMN"}
     ),
     "repro.encdict.search": frozenset({"plain_search", "DictionarySearcher"}),
 }
@@ -174,8 +182,8 @@ KEY_SYMBOLS = frozenset(
 )
 
 #: Enclave-internal members nothing outside the enclave (owner included)
-#: may reference: the protected store, dispatch internals, and in-enclave
-#: randomness. Reaching these from host code would be reading EPC memory.
+#: may reference: the protected store and dispatch internals. Reaching
+#: these from host code would be reading EPC memory.
 ENCLAVE_INTERNALS = frozenset(
     {
         "protected_get",
@@ -184,8 +192,6 @@ ENCLAVE_INTERNALS = frozenset(
         "_protected",
         "_dispatch",
         "_require_inside",
-        "enclave_random_bytes",
-        "enclave_randint",
     }
 )
 
@@ -205,8 +211,6 @@ DETERMINISTIC_PREFIXES: tuple[str, ...] = (
 WIRE_PLAINTEXT_SYMBOLS = frozenset(
     {
         "encdb_build",
-        "encdb_build_partitioned",
-        "derive_partition_rngs",
         "split_column",
         "DictionaryEncodedColumn",
         "plain_search",
@@ -235,3 +239,49 @@ def allowed_symbols(importer_level: str, imported_module: str) -> frozenset[str]
     if importer_level == TRUST_OWNER:
         surface = surface | OWNER_SURFACE.get(imported_module, frozenset())
     return surface
+
+
+_SRC_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _module_path(module: str) -> Path | None:
+    """The source file of a ``repro`` module, ``None`` for anything else."""
+    if module != "repro" and not module.startswith("repro."):
+        return None
+    base = _SRC_ROOT.joinpath(*module.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def tcb_modules(roots: Iterable[str]) -> tuple[str, ...]:
+    """Every ``repro`` module the ``roots`` reach by import, roots included.
+
+    Follows ``import`` and ``from ... import`` statements at any depth
+    (function-level imports too; ``if TYPE_CHECKING:`` bodies, which give
+    no runtime access, are skipped). ``from pkg import name`` reaches the
+    submodule ``pkg.name`` when one exists and ``pkg`` itself otherwise;
+    the package ``__init__`` modules Python runs on the way to a submodule
+    are re-export facades and are not counted. This walk is the derived
+    trusted computing base: run from the enclave program it is the code
+    the enclave can execute.
+    """
+    reached: set[str] = set()
+    pending = list(roots)
+    while pending:
+        module = pending.pop()
+        if module in reached or (path := _module_path(module)) is None:
+            continue
+        reached.add(module)
+        for node in walk_runtime(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                pending.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = resolve_import(node, module)
+                if base is None:
+                    continue
+                for alias in node.names:
+                    submodule = f"{base}.{alias.name}"
+                    pending.append(submodule if _module_path(submodule) else base)
+    return tuple(sorted(reached))

@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.client.proxy import encrypt_search_range
+from repro.columnstore.dictionary import attribute_vector_bytes
 from repro.columnstore.monetdb_sim import MonetDBStringColumn
 from repro.columnstore.types import ValueType, VarcharType
 from repro.crypto.drbg import HmacDrbg
@@ -30,7 +32,7 @@ from repro.crypto.kdf import derive_column_key
 from repro.crypto.pae import Pae, default_pae, pae_gen
 from repro.encdict.attrvect import attr_vect_search
 from repro.encdict.builder import BuildResult, encdb_build
-from repro.encdict.enclave_app import EncDBDBEnclave, encrypt_search_range
+from repro.encdict.enclave_app import EncDBDBEnclave
 from repro.encdict.options import EncryptedDictionaryKind
 from repro.encdict.search import OrdinalRange, plain_search
 from repro.sgx.attestation import AttestationService
@@ -112,8 +114,8 @@ class PlainDbdbColumnEngine:
 
     def storage_bytes(self) -> int:
         dictionary = self.build.dictionary
-        return dictionary.storage_bytes() + dictionary.attribute_vector_bytes(
-            len(self.build.attribute_vector)
+        return dictionary.storage_bytes() + attribute_vector_bytes(
+            len(self.build.attribute_vector), len(dictionary)
         )
 
 
@@ -196,8 +198,8 @@ class EncDbdbColumnEngine:
 
     def storage_bytes(self) -> int:
         dictionary = self.build.dictionary
-        return dictionary.storage_bytes() + dictionary.attribute_vector_bytes(
-            len(self.build.attribute_vector)
+        return dictionary.storage_bytes() + attribute_vector_bytes(
+            len(self.build.attribute_vector), len(dictionary)
         )
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.columnstore.dictionary import attribute_vector_bytes
 from repro.columnstore.monetdb_sim import MonetDBStringColumn
 from repro.columnstore.types import ValueType, VarcharType
 from repro.crypto.drbg import HmacDrbg
@@ -61,8 +62,8 @@ def encdbdb_column_bytes(
         bsmax=bsmax,
     )
     dictionary = build.dictionary
-    return dictionary.storage_bytes() + dictionary.attribute_vector_bytes(
-        len(build.attribute_vector)
+    return dictionary.storage_bytes() + attribute_vector_bytes(
+        len(build.attribute_vector), len(dictionary)
     )
 
 

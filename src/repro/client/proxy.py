@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING, Any
 from repro.columnstore.catalog import Catalog
 from repro.columnstore.types import ColumnSpec, ValueType
 from repro.crypto.pae import Pae
-from repro.encdict.enclave_app import encrypt_search_range
-from repro.encdict.search import OrdinalRange
+from repro.encdict.search import ORDINAL_BOUND_BYTES, OrdinalRange
 from repro.exceptions import QueryError
 from repro.sql.ast_nodes import Aggregate
 
@@ -43,6 +42,20 @@ from repro.sql.planner import (
     UpdatePlan,
 )
 from repro.sql.result import QueryResult, ServerResult
+
+
+def encrypt_search_range(pae: Pae, key: bytes, search: OrdinalRange) -> tuple[bytes, bytes]:
+    """Build the encrypted range ``τ = (τ_s, τ_e)`` a filter sends.
+
+    Start and end are encrypted individually with fresh random IVs, so the
+    server cannot tell whether two queries touch the same bounds (§4.2
+    step 5).
+    """
+    payload = search.to_bytes()
+    return (
+        pae.encrypt(key, payload[:ORDINAL_BOUND_BYTES]),
+        pae.encrypt(key, payload[ORDINAL_BOUND_BYTES:]),
+    )
 
 
 class Proxy:

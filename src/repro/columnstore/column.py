@@ -26,10 +26,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.columnstore.dictionary import DictionaryEncodedColumn
+from repro.columnstore.dictionary import DictionaryEncodedColumn, attribute_vector_bytes
 from repro.columnstore.partition import (
     DEFAULT_PARTITION_ROWS,
-    DELTA_PARTITION_ID,
     partition_lengths,
     partition_starts,
     slice_rows,
@@ -37,7 +36,7 @@ from repro.columnstore.partition import (
 from repro.columnstore.types import ColumnSpec
 from repro.encdict.attrvect import attr_vect_search, attr_vect_search_many
 from repro.encdict.builder import BuildResult
-from repro.encdict.dictionary import EncryptedDictionary
+from repro.encdict.dictionary import DELTA_PARTITION_ID, EncryptedDictionary
 from repro.encdict.options import ED9
 from repro.encdict.search import SearchResult
 from repro.exceptions import CatalogError, QueryError
@@ -724,7 +723,7 @@ class EncryptedStoredColumn:
         for build in self.partition_builds:
             dictionary = build.dictionary
             total += dictionary.storage_bytes()
-            total += dictionary.attribute_vector_bytes(
-                len(build.attribute_vector)
+            total += attribute_vector_bytes(
+                len(build.attribute_vector), len(dictionary)
             )
         return total

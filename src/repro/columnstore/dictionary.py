@@ -46,6 +46,12 @@ def attribute_vector_bytes_per_entry(dictionary_size: int) -> int:
     return max(1, (attribute_vector_bits(dictionary_size) + 7) // 8)
 
 
+def attribute_vector_bytes(av_length: int, dictionary_size: int) -> int:
+    """Packed size of an ``av_length``-row attribute vector into a
+    dictionary of ``dictionary_size`` entries (plaintext or encrypted)."""
+    return av_length * attribute_vector_bytes_per_entry(dictionary_size)
+
+
 @dataclass
 class DictionaryEncodedColumn:
     """A plaintext dictionary-encoded column with range search.
@@ -103,7 +109,6 @@ class DictionaryEncodedColumn:
         bytes.
         """
         dictionary_bytes = sum(value_size(value) for value in self.dictionary)
-        av_bytes = len(self.attribute_vector) * attribute_vector_bytes_per_entry(
-            len(self.dictionary)
+        return dictionary_bytes + attribute_vector_bytes(
+            len(self.attribute_vector), len(self.dictionary)
         )
-        return dictionary_bytes + av_bytes

@@ -26,10 +26,6 @@ import numpy as np
 #: enough that multi-million-row columns split into a useful fan-out.
 DEFAULT_PARTITION_ROWS = 1 << 17
 
-#: Synthetic partition id of the append-only ED9 delta store (never a main
-#: partition id, which are non-negative).
-DELTA_PARTITION_ID = -1
-
 
 def partition_lengths(row_count: int, partition_rows: int) -> list[int]:
     """Split ``row_count`` rows into fixed-size partition lengths."""
@@ -71,19 +67,11 @@ def partition_starts(lengths: Sequence[int]) -> list[int]:
 
 
 class PartitionMap:
-    """Global-RecordID ↔ ``(partition, offset)`` mapping over a layout."""
+    """A layout's partition lengths and the global RecordID each starts at."""
 
     def __init__(self, lengths: Sequence[int]) -> None:
         self.lengths = list(lengths)
         self.starts = partition_starts(self.lengths)
-        self.total_rows = sum(self.lengths)
-
-    def locate(self, record_id: int) -> tuple[int, int]:
-        """``(partition index, offset within partition)`` of a main rid."""
-        if not 0 <= record_id < self.total_rows:
-            raise IndexError(f"RecordID {record_id} outside main store")
-        index = int(np.searchsorted(self.starts, record_id, side="right")) - 1
-        return index, record_id - self.starts[index]
 
     def dirty_partitions(self, validity: np.ndarray) -> list[int]:
         """Partitions containing at least one cleared validity bit."""

@@ -5,7 +5,7 @@ fixed maximal length fixing a finite, ordered value domain — implicitly for
 ``INTEGER`` (32 bit) and explicitly for ``VARCHAR(n)`` (paper §4.1, ED2).
 A :class:`ValueType` therefore provides, besides serialization, an
 *order-preserving ordinal embedding* of its domain into ``[0, domain_size)``;
-:mod:`repro.encdict.encode` builds the rotated dictionary search on top of
+:mod:`repro.encdict.search` builds the rotated dictionary search on top of
 it.
 
 A :class:`ColumnSpec` pairs a value type with the column's protection: either

@@ -145,12 +145,6 @@ class HmacDrbg:
             j = _randint(self.read, 0, i)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items: list):
-        """Return a uniformly random element of a non-empty sequence."""
-        if not items:
-            raise ValueError("cannot choose from an empty sequence")
-        return items[self.randint(0, len(items) - 1)]
-
     def fork(self, label: str) -> "HmacDrbg":
         """Derive an independent child generator for a named purpose.
 

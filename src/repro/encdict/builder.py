@@ -154,64 +154,6 @@ def partition_rng_stream(rng: HmacDrbg) -> Iterator[tuple[HmacDrbg, HmacDrbg]]:
         yield build_rng, build_rng.fork("pae-iv")
 
 
-def derive_partition_rngs(rng: HmacDrbg, count: int) -> list[tuple[HmacDrbg, HmacDrbg]]:
-    """The first ``count`` pairs of :func:`partition_rng_stream`."""
-    return list(itertools.islice(partition_rng_stream(rng), count))
-
-
-def encdb_build_partitioned(
-    values: Sequence[Any],
-    kind: EncryptedDictionaryKind,
-    *,
-    partition_rows: int,
-    value_type: ValueType,
-    key: bytes | None,
-    pae: Pae | None,
-    rng: HmacDrbg,
-    bsmax: int = 10,
-    table_name: str = "",
-    column_name: str = "",
-    encrypted: bool = True,
-) -> list[BuildResult]:
-    """``EncDB`` over fixed-row-count partitions: one independent build per
-    chunk of ``partition_rows`` consecutive rows.
-
-    Each partition gets its own dictionary (its own IV stream, rotation
-    offset and shuffle from the DRBG pairs of
-    :func:`partition_rng_stream`), so partitions are independently
-    searchable and independently rebuildable at merge time. This loop over
-    a materialized column is the reference the streamed build
-    (:mod:`repro.encdict.pipeline`) must reproduce byte-for-byte. Row order
-    is preserved: concatenating the partitions' rows reproduces ``values``
-    exactly, which keeps global RecordIDs identical to an unpartitioned
-    build.
-    """
-    from repro.columnstore.partition import partition_lengths, slice_rows
-
-    if len(values) == 0:
-        raise CatalogError("cannot build a dictionary for an empty column")
-    parts = slice_rows(
-        list(values), partition_lengths(len(values), partition_rows)
-    )
-    rngs = derive_partition_rngs(rng, len(parts))
-    return [
-        encdb_build(
-            part,
-            kind,
-            value_type=value_type,
-            key=key,
-            pae=pae,
-            rng=build_rng,
-            iv_rng=iv_rng,
-            bsmax=bsmax,
-            table_name=table_name,
-            column_name=column_name,
-            encrypted=encrypted,
-        )
-        for part, (build_rng, iv_rng) in zip(parts, rngs)
-    ]
-
-
 def _split(
     values: Sequence[Any],
     repetition: RepetitionOption,

@@ -19,12 +19,15 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.columnstore.dictionary import attribute_vector_bytes_per_entry
 from repro.columnstore.types import ValueType
 from repro.encdict.options import EncryptedDictionaryKind
 
 #: Fixed size of one dictionary-head slot (an offset into the tail).
 HEAD_ENTRY_BYTES = 8
+
+#: The ``partition_id`` of the append-only ED9 delta store (never a main
+#: partition id, which are non-negative).
+DELTA_PARTITION_ID = -1
 
 
 @dataclass
@@ -117,7 +120,3 @@ class EncryptedDictionary:
     def storage_bytes(self) -> int:
         extra = len(self.enc_rnd_offset) if self.enc_rnd_offset else 0
         return self.head_bytes() + self.tail_bytes() + extra
-
-    def attribute_vector_bytes(self, av_length: int) -> int:
-        """Packed size of an attribute vector referencing this dictionary."""
-        return av_length * attribute_vector_bytes_per_entry(max(len(self), 1))

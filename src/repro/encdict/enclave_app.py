@@ -1,43 +1,26 @@
 """The EncDBDB enclave program.
 
-This is the complete trusted interface of the system — the reproduction's
-analogue of the paper's 1129-LOC C enclave. Its ecalls are:
-
-- the secure-provisioning handshake (``channel_offer`` / ``channel_accept``
-  / ``provision_master_key``), through which the data owner deploys
-  ``SKDB`` after attesting the enclave (paper §4.2 step 2);
-- ``seal_master_key`` / ``restore_master_key`` for persistence across
-  enclave restarts without a new attestation round trip;
-- ``dict_search``, the per-query entry point (§4.2 step 8): for each
-  ``(dictionary, τ)`` request derives the per-column key, decrypts the
-  encrypted range ``τ``, and runs the ``EnclDictSearch`` matching the
-  dictionary's kind. One ecall per query, whatever the store count;
-  dictionary entries are pulled from untrusted memory one at a time, so
-  enclave memory use is constant and independent of ``|D|`` (§5);
-- ``reseal_delta`` and ``rebuild_for_merge`` for dynamic data (§4.3): an
-  INSERT's values are opened and re-sealed under fresh IVs inside the
-  enclave, one crossing per encrypted column of the statement (the same
-  ecall moves the delta store across a key-rotation flip), and the periodic
-  delta merge re-encrypts, re-rotates and re-shuffles so old and new main
-  stores cannot be linked.
+:class:`EncDBDBEnclave` is the reproduction's analogue of the paper's
+1129-LOC C enclave. Each ``@ecall`` method is an entry point; the one list
+of them, with what each may reveal to the host, is
+:data:`repro.analysis.leakage.ECALL_CONTRACTS` (the test suite pins its
+keys to ``ecall_names()``). The code the enclave can run is this module and
+everything it imports: :func:`repro.analysis.trustmap.tcb_modules` derives
+that set, and Table 1 counts it.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import derive_column_key
 from repro.crypto.pae import Pae, default_pae
 from repro.encdict.builder import BuildResult, encdb_build
-from repro.encdict.dictionary import EncryptedDictionary
+from repro.encdict.dictionary import DELTA_PARTITION_ID, EncryptedDictionary
 from repro.encdict.options import EncryptedDictionaryKind
-from repro.encdict.search import (
-    ORDINAL_BOUND_BYTES,
-    DictionarySearcher,
-    OrdinalRange,
-    SearchResult,
-)
+from repro.encdict.search import DictionarySearcher, OrdinalRange, SearchResult
 from repro.exceptions import EnclaveSecurityError, QueryError
 from repro.sgx.attestation import AttestationService
 from repro.sgx.cache import EnclaveLruCache, FastPathConfig
@@ -61,20 +44,6 @@ _AGGREGATE_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 #: any realistic schema, it only guards against unbounded growth if a caller
 #: streams made-up column names through the enclave.
 _KEY_CACHE_MAX_ENTRIES = 512
-
-
-def encrypt_search_range(pae: Pae, key: bytes, search: OrdinalRange) -> tuple[bytes, bytes]:
-    """Proxy-side helper: build the encrypted range ``τ = (τ_s, τ_e)``.
-
-    Start and end are encrypted individually with fresh random IVs, so the
-    server cannot tell whether two queries touch the same bounds (§4.2
-    step 5).
-    """
-    payload = search.to_bytes()
-    return (
-        pae.encrypt(key, payload[:ORDINAL_BOUND_BYTES]),
-        pae.encrypt(key, payload[ORDINAL_BOUND_BYTES:]),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -446,8 +415,6 @@ class EncDBDBEnclave(Enclave):
         positional). The untrusted side sees a same-length list of same-size
         blobs, and one bad tag rejects the whole list.
         """
-        from repro.columnstore.partition import DELTA_PARTITION_ID
-
         # Only the delta store changes: main-partition caches stay warm.
         self._bump_epoch(table_name, column_name, DELTA_PARTITION_ID)
         if not blobs:
@@ -621,14 +588,16 @@ class EncDBDBEnclave(Enclave):
         key. Row order is preserved (the other columns' attribute vectors
         stay row-aligned, so a rotation must not move rows), and the build
         DRBG is derived deterministically from ``SKDB`` and the rotation
-        target via :func:`derive_rotation_seed` with the exact per-partition
-        fork discipline of :func:`encdb_build_partitioned`. Consequences:
+        target via :func:`derive_rotation_seed`, and partition
+        ``partition_index`` draws the pair that
+        :func:`~repro.encdict.builder.partition_rng_stream` yields at that
+        index, as every partitioned build does. Consequences:
         the rotated column is byte-identical to a from-scratch deterministic
         build the data owner can reproduce, and replicas rotating
         independently converge on identical ciphertext.
         """
         from repro.crypto.kdf import derive_rotation_seed
-        from repro.encdict.builder import derive_partition_rngs
+        from repro.encdict.builder import partition_rng_stream
 
         table_name = old_dictionary.table_name
         column_name = old_dictionary.column_name
@@ -654,9 +623,9 @@ class EncDBDBEnclave(Enclave):
                 key_epoch,
             )
         )
-        build_rng, iv_rng = derive_partition_rngs(root, partition_index + 1)[
-            partition_index
-        ]
+        build_rng, iv_rng = next(
+            itertools.islice(partition_rng_stream(root), partition_index, None)
+        )
         return self._build_partition(
             values,
             new_kind,

@@ -14,9 +14,9 @@ partition is yielded before the next slice is read.
 - **Deterministic.** Every build's randomness (bucket splits, rotation
   offsets, shuffles, PAE IVs) comes from the DRBG pairs of
   :func:`~repro.encdict.builder.partition_rng_stream`, so the stream is
-  **bit-for-bit identical** to the serial
-  :func:`~repro.encdict.builder.encdb_build_partitioned` loop over
-  materialized columns — same ciphertexts, same attribute vectors, same
+  **bit-for-bit identical** to a serial loop of
+  :func:`~repro.encdict.builder.encdb_build` calls over materialized
+  partitions — same ciphertexts, same attribute vectors, same
   ``BuildStats``.
 - **Streaming.** Sources may be generators; the consumer (storage-frame
   writing at the server, span shipping at the cluster router) runs between

@@ -97,15 +97,6 @@ class Enclave:
         self._require_inside(f"protected_has({key!r})")
         return key in self._protected
 
-    def enclave_random_bytes(self, n: int) -> bytes:
-        """In-enclave randomness (usable only inside an ecall)."""
-        self._require_inside("enclave_random_bytes")
-        return self._rng.random_bytes(n)
-
-    def enclave_randint(self, low: int, high: int) -> int:
-        self._require_inside("enclave_randint")
-        return self._rng.randint(low, high)
-
     # ------------------------------------------------------------------
     # Dispatch (used by EnclaveHost, not by untrusted code directly)
     # ------------------------------------------------------------------

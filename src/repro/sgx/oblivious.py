@@ -3,8 +3,8 @@
 The delta-store merge "has to be implemented in a way that does not leak the
 relationship between values in the old and new main store, e.g., with
 oblivious memory primitives [ZeroTrace, Opaque]". This module provides the
-two primitives that requirement needs, with **data-independent access
-patterns**, both on one bitonic sorting network:
+primitive the merge uses, a shuffle with a **data-independent access
+pattern**, built on one bitonic sorting network:
 
 - the network pads the input to a power of two with sentinel slots and runs
   the fixed bitonic schedule one stage per numpy step. A stage views the
@@ -12,7 +12,6 @@ patterns**, both on one bitonic sorting network:
   the stage at once — makes one lexicographic compare over (sentinel flag,
   key words), and writes both slots of *every* pair back with ``np.where``.
   The pairs touched, and the writes, depend only on the input *length*.
-- :func:`oblivious_sort` — that network over integer keys.
 - :func:`oblivious_shuffle` — that network over 16-byte random tags (two
   big-endian ``uint64`` words each), one read of the DRBG's pooled stream
   (:meth:`~repro.crypto.drbg.HmacDrbg.read`, refilled in requests of at
@@ -26,7 +25,7 @@ compare-exchange pair in schedule order.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -89,21 +88,6 @@ def _bitonic_order(
             stride //= 2
         block *= 2
     return keys[-1][:n]
-
-
-def oblivious_sort(
-    items: Sequence[Any],
-    key: Callable[[Any], int] = lambda item: item,
-    *,
-    trace: TraceRecorder | None = None,
-) -> list[Any]:
-    """Sort by integer (int64) keys with the bitonic network.
-
-    Runs in O(n log^2 n) compare-exchanges — the classic enclave-friendly
-    tradeoff against comparison sorts whose branches leak.
-    """
-    keys = np.fromiter((key(item) for item in items), dtype=np.int64, count=len(items))
-    return [items[i] for i in _bitonic_order([keys], trace).tolist()]
 
 
 def oblivious_shuffle(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from repro.analysis.engine import analyze_paths
 from repro.analysis.findings import RULE_BAD_SUPPRESSION
+from repro.analysis.trustmap import TRUST_UNTRUSTED, tcb_modules, trust_level
 
 SRC_ROOT = Path(__file__).parents[2] / "src"
 
@@ -48,3 +49,19 @@ def test_the_column_store_never_holds_an_enclave_handle():
                 if module == "repro.sgx" or module.startswith("repro.sgx.")
             ]
     assert offenders == []
+
+
+def test_the_enclave_imports_no_provider_code():
+    """The derived TCB (everything the enclave program imports) holds no
+    ``untrusted`` module, and the per-query part of it — what
+    ``dict_search`` hands its work to — reaches none of the build, merge or
+    rotation machinery."""
+    tcb = tcb_modules(("repro.encdict.enclave_app",))
+    assert [m for m in tcb if trust_level(m) == TRUST_UNTRUSTED] == []
+    query_path = tcb_modules(("repro.encdict.search", "repro.sgx.cache"))
+    assert set(query_path) <= set(tcb)
+    assert [
+        m
+        for m in query_path
+        if m.rsplit(".", 1)[-1] in {"builder", "buckets", "pipeline", "oblivious"}
+    ] == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 from repro.analysis import trustmap
 from repro.analysis.trustmap import (
     MODULE_TRUST,
@@ -60,3 +62,16 @@ def test_forbidden_sets_do_not_overlap_surfaces():
     for module, symbols in trustmap.UNTRUSTED_SURFACE.items():
         assert not symbols & trustmap.KEY_SYMBOLS, module
         assert not symbols & trustmap.ENCLAVE_INTERNALS, module
+
+
+def test_every_surface_symbol_exists_on_its_module():
+    """A surface entry names a real attribute: moving or deleting a trusted
+    symbol must update the surface in the same change."""
+    stale = [
+        f"{module}.{symbol}"
+        for surface in (trustmap.UNTRUSTED_SURFACE, trustmap.OWNER_SURFACE)
+        for module, symbols in surface.items()
+        for symbol in sorted(symbols)
+        if not hasattr(importlib.import_module(module), symbol)
+    ]
+    assert stale == []

@@ -203,14 +203,6 @@ def test_shuffle_reproducible():
     assert items1 == items2
 
 
-def test_choice():
-    rng = HmacDrbg(b"s")
-    assert rng.choice([42]) == 42
-    assert rng.choice(["a", "b"]) in ("a", "b")
-    with pytest.raises(ValueError):
-        rng.choice([])
-
-
 def test_fork_independence():
     parent1 = HmacDrbg(b"seed")
     parent2 = HmacDrbg(b"seed")

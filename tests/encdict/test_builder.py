@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
+from repro.columnstore.dictionary import attribute_vector_bytes
 from repro.columnstore.types import IntegerType, VarcharType
 from repro.crypto.pae import PAE_OVERHEAD_BYTES
 from repro.encdict.options import (
@@ -16,7 +16,6 @@ from repro.encdict.options import (
     ED3,
     ED5,
     ED7,
-    OrderOption,
     RepetitionOption,
 )
 from repro.exceptions import CatalogError
@@ -157,7 +156,8 @@ def test_storage_accounting(harness):
     assert dictionary.tail_bytes() == expected_tail
     assert dictionary.head_bytes() == 8 * len(set(NAMES))
     assert dictionary.storage_bytes() == expected_tail + dictionary.head_bytes()
-    assert dictionary.attribute_vector_bytes(len(NAMES)) == len(NAMES)  # 1 B/vid
+    # 1 B/vid
+    assert attribute_vector_bytes(len(NAMES), len(dictionary)) == len(NAMES)
 
 
 def test_empty_column_rejected(harness):

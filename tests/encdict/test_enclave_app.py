@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.columnstore.partition import DELTA_PARTITION_ID
+from repro.client.proxy import encrypt_search_range
 from repro.columnstore.types import IntegerType, VarcharType
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import derive_column_key
 from repro.crypto.pae import default_pae, pae_gen
 from repro.encdict.attrvect import attr_vect_search
 from repro.encdict.builder import encdb_build
-from repro.encdict.enclave_app import EncDBDBEnclave, encrypt_search_range
+from repro.encdict.dictionary import DELTA_PARTITION_ID
+from repro.encdict.enclave_app import EncDBDBEnclave
 from repro.encdict.options import ALL_KINDS, ED1, ED2, ED9
 from repro.encdict.search import DictionaryAccessor, OrdinalRange
 from repro.exceptions import (

@@ -1,4 +1,5 @@
-"""ENCODE order preservation and the Algorithm 5 bucket experiment."""
+"""ENCODE order preservation (``ValueType.ordinal``) and the Algorithm 5
+bucket experiment."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.columnstore.types import IntegerType, VarcharType
 from repro.crypto.drbg import HmacDrbg
 from repro.encdict.buckets import expected_bucket_count, get_rnd_bucket_sizes
-from repro.encdict.encode import encode, modulus, shifted
 
 _VARCHAR_ALPHABET = st.text(
     alphabet=st.characters(min_codepoint=1, max_codepoint=0x7F), max_size=8
@@ -18,32 +18,24 @@ _VARCHAR_ALPHABET = st.text(
 def test_encode_example_from_paper():
     """Strings are right-padded so 'AB' < 'B' is preserved numerically."""
     vt = VarcharType(5)
-    assert encode(vt, "AB") < encode(vt, "B")
-    assert encode(vt, "AB") < encode(vt, "BA")
-    assert encode(vt, "") == 0
-    assert modulus(vt) == 256**5
+    assert vt.ordinal("AB") < vt.ordinal("B")
+    assert vt.ordinal("AB") < vt.ordinal("BA")
+    assert vt.ordinal("") == 0
+    assert vt.domain_size == 256**5
 
 
 @given(a=_VARCHAR_ALPHABET, b=_VARCHAR_ALPHABET)
 def test_encode_preserves_string_order(a: str, b: str):
     vt = VarcharType(8)
-    assert (a.encode() < b.encode()) == (encode(vt, a) < encode(vt, b))
-    assert (a == b) == (encode(vt, a) == encode(vt, b))
+    assert (a.encode() < b.encode()) == (vt.ordinal(a) < vt.ordinal(b))
+    assert (a == b) == (vt.ordinal(a) == vt.ordinal(b))
 
 
 @given(a=st.integers(-(2**31), 2**31 - 1), b=st.integers(-(2**31), 2**31 - 1))
 def test_encode_preserves_integer_order(a: int, b: int):
     it = IntegerType()
-    assert (a < b) == (encode(it, a) < encode(it, b))
-    assert 0 <= encode(it, a) < modulus(it)
-
-
-def test_shifted_is_modular():
-    it = IntegerType()
-    r = encode(it, 100)
-    assert shifted(it, 100, r) == 0
-    assert shifted(it, 101, r) == 1
-    assert shifted(it, 99, r) == modulus(it) - 1
+    assert (a < b) == (it.ordinal(a) < it.ordinal(b))
+    assert 0 <= it.ordinal(a) < it.domain_size
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The streaming build (``repro.encdict.pipeline.build_partitions``).
 
 The load-bearing property is bit-for-bit determinism: for every ED kind the
-stream must produce exactly the artifacts of the serial
-``encdb_build_partitioned`` reference over a materialized column: same
+stream must produce exactly the artifacts of a serial reference loop, one
+``encdb_build`` per partition of a materialized column: same
 ciphertext dictionaries, same rotation offsets, same attribute vectors,
 same ``BuildStats``. Everything else (streaming order, one partition
 resident at a time) is bookkeeping around that.
@@ -10,17 +10,15 @@ resident at a time) is bookkeeping around that.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.columnstore.types import ColumnSpec, parse_type
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.pae import default_pae
-from repro.encdict.builder import (
-    derive_partition_rngs,
-    encdb_build_partitioned,
-    partition_rng_stream,
-)
+from repro.encdict.builder import encdb_build, partition_rng_stream
 from repro.encdict.options import ALL_KINDS, kind_by_name
 from repro.encdict.pipeline import ColumnPlan, build_partitions
 from repro.exceptions import CatalogError
@@ -33,20 +31,29 @@ VALUES = [((i * 11) % 17) + 3 for i in range(ROWS)]
 
 
 def _reference(kind):
-    """The serial builder's output plus its exact PAE encrypt count."""
+    """The serial loop's builds plus its exact PAE encrypt count: partition
+    *i* of the column is built on the *i*-th pair of ``partition_rng_stream``."""
     pae = default_pae(rng=HmacDrbg(b"ref-pae"))
-    builds = encdb_build_partitioned(
-        VALUES,
-        kind,
-        partition_rows=PARTITION_ROWS,
-        value_type=INT,
-        key=KEY,
-        pae=pae,
-        rng=HmacDrbg(b"col-seed"),
-        bsmax=4,
-        table_name="t",
-        column_name="c",
-    )
+    parts = [
+        VALUES[start : start + PARTITION_ROWS] for start in range(0, ROWS, PARTITION_ROWS)
+    ]
+    builds = [
+        encdb_build(
+            part,
+            kind,
+            value_type=INT,
+            key=KEY,
+            pae=pae,
+            rng=build_rng,
+            iv_rng=iv_rng,
+            bsmax=4,
+            table_name="t",
+            column_name="c",
+        )
+        for part, (build_rng, iv_rng) in zip(
+            parts, partition_rng_stream(HmacDrbg(b"col-seed"))
+        )
+    ]
     return builds, pae.encrypt_count
 
 
@@ -87,7 +94,7 @@ def test_partition_rng_pairs_are_execution_order_independent():
     """The (build, iv) DRBG pairs are a pure function of the column seed and
     the partition index: the list form, the lazy stream and hand-forking
     draw the same bytes."""
-    eager = derive_partition_rngs(HmacDrbg(b"x"), 4)
+    eager = list(itertools.islice(partition_rng_stream(HmacDrbg(b"x")), 4))
     lazy = partition_rng_stream(HmacDrbg(b"x"))
     hand_parent = HmacDrbg(b"x")
     for index, (build_rng, iv_rng) in enumerate(eager):

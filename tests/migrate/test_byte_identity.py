@@ -10,11 +10,13 @@ ran it. This is what lets cluster replicas rotate without coordinating.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.client.session import EncDBDBSystem
 from repro.columnstore.storage import encrypted_partition_frame
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import derive_column_key, derive_rotation_seed
-from repro.encdict.builder import derive_partition_rngs, encdb_build
+from repro.encdict.builder import encdb_build, partition_rng_stream
 from repro.encdict.options import kind_by_name
 from repro.columnstore.types import IntegerType
 
@@ -54,7 +56,7 @@ def test_rotation_matches_from_scratch_deterministic_build():
         VALUES[start : start + PARTITION_ROWS]
         for start in range(0, ROWS, PARTITION_ROWS)
     ]
-    rngs = derive_partition_rngs(root, len(partitions))
+    rngs = itertools.islice(partition_rng_stream(root), len(partitions))
     column = system.server.catalog.table("t").column("v")
     reference = []
     for index, (values, (build_rng, iv_rng)) in enumerate(zip(partitions, rngs)):

@@ -19,10 +19,6 @@ class ToyEnclave(Enclave):
     def add_to_secret(self, delta: int) -> int:
         return self.protected_get("secret") + delta
 
-    @ecall
-    def roll(self) -> int:
-        return self.enclave_randint(1, 6)
-
     def not_an_ecall(self) -> str:
         return "untrusted-callable"
 
@@ -64,13 +60,6 @@ def test_protected_memory_unreachable_from_outside():
         enclave.protected_has("secret")
 
 
-def test_enclave_rng_unreachable_from_outside():
-    enclave = ToyEnclave()
-    with pytest.raises(EnclaveSecurityError):
-        enclave.enclave_random_bytes(4)
-    assert 1 <= EnclaveHost(enclave).ecall("roll") <= 6
-
-
 def test_missing_protected_value_is_security_error(host: EnclaveHost):
     with pytest.raises(EnclaveSecurityError):
         host.ecall("add_to_secret", 1)
@@ -83,7 +72,7 @@ def test_ecalls_are_counted(host: EnclaveHost):
 
 
 def test_ecall_names(host: EnclaveHost):
-    assert set(host.ecall_names()) == {"store_secret", "add_to_secret", "roll"}
+    assert set(host.ecall_names()) == {"store_secret", "add_to_secret"}
 
 
 def test_measurement_is_deterministic():

@@ -1,4 +1,5 @@
-"""Oblivious sort/shuffle: correctness and access-pattern independence."""
+"""The bitonic network and the oblivious shuffle: correctness and
+access-pattern independence."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.drbg import HmacDrbg
-from repro.sgx.oblivious import TraceRecorder, oblivious_shuffle, oblivious_sort
+from repro.sgx.oblivious import TraceRecorder, _bitonic_order, oblivious_shuffle
 
 
 def reference_bitonic_sort(items, key, trace=None):
@@ -54,16 +55,25 @@ def _stream_tags(rng: HmacDrbg, count: int) -> list[bytes]:
     return [stream[16 * i : 16 * (i + 1)] for i in range(count)]
 
 
+def _order(keys, trace=None) -> list[int]:
+    """Positions of integer ``keys`` in ascending order, by the network."""
+    return _bitonic_order([np.asarray(keys, np.int64)], trace).tolist()
+
+
+def _sorted(values, trace=None) -> list[int]:
+    return [values[i] for i in _order(values, trace)]
+
+
 def test_sorts_correctly():
-    assert oblivious_sort([3, 1, 2]) == [1, 2, 3]
-    assert oblivious_sort([]) == []
-    assert oblivious_sort([42]) == [42]
-    assert oblivious_sort(list(range(10))[::-1]) == list(range(10))
+    assert _sorted([3, 1, 2]) == [1, 2, 3]
+    assert _sorted([]) == []
+    assert _sorted([42]) == [42]
+    assert _sorted(list(range(10))[::-1]) == list(range(10))
 
 
 def test_sort_with_key():
     items = [("b", 2), ("a", 9), ("c", 1)]
-    assert oblivious_sort(items, key=lambda pair: pair[1]) == [
+    assert [items[i] for i in _order([pair[1] for pair in items])] == [
         ("c", 1), ("b", 2), ("a", 9),
     ]
 
@@ -71,13 +81,13 @@ def test_sort_with_key():
 def test_non_power_of_two_lengths():
     for n in (3, 5, 6, 7, 9, 13):
         values = [(i * 7) % n for i in range(n)]
-        assert oblivious_sort(values) == sorted(values)
+        assert _sorted(values) == sorted(values)
 
 
 @settings(max_examples=40)
 @given(st.lists(st.integers(-100, 100), max_size=40))
 def test_sort_matches_builtin_property(values):
-    assert oblivious_sort(values) == sorted(values)
+    assert _sorted(values) == sorted(values)
 
 
 def test_access_pattern_is_data_independent():
@@ -86,15 +96,15 @@ def test_access_pattern_is_data_independent():
     for values in ([4, 3, 2, 1, 0], [0, 1, 2, 3, 4], [7, 7, 7, 7, 7],
                    [-5, 100, 0, 3, -2]):
         recorder = TraceRecorder()
-        oblivious_sort(values, trace=recorder)
+        _order(values, trace=recorder)
         traces.append(tuple(recorder.accesses))
     assert len(set(traces)) == 1
 
 
 def test_access_pattern_differs_only_by_length():
     recorder_a, recorder_b = TraceRecorder(), TraceRecorder()
-    oblivious_sort(list(range(5)), trace=recorder_a)
-    oblivious_sort(list(range(9)), trace=recorder_b)
+    _order(list(range(5)), trace=recorder_a)
+    _order(list(range(9)), trace=recorder_b)
     assert recorder_a.accesses != recorder_b.accesses
 
 
@@ -183,8 +193,6 @@ def test_shuffle_matches_reference_network(n):
 @pytest.mark.parametrize("n", NETWORK_SIZES)
 def test_tied_and_repeated_tags_match_reference_network(n):
     """Equal tags keep the scalar network's tie behaviour, pair by pair."""
-    from repro.sgx.oblivious import _bitonic_order
-
     fresh = _stream_tags(HmacDrbg(b"ties"), 7)
     for tags in ([fresh[0]] * n, [fresh[i % 7] for i in range(n)]):
         trace = TraceRecorder()
@@ -196,7 +204,7 @@ def test_tied_and_repeated_tags_match_reference_network(n):
 
 @pytest.mark.parametrize("n", NETWORK_SIZES)
 def test_integer_sort_matches_reference_network(n):
-    """``oblivious_sort`` runs the same network over integer keys."""
+    """One int64 key column runs the same network as the scalar reference."""
     rng = HmacDrbg(b"keys")
     for keys in (
         [rng.randint(-50, 50) for _ in range(n)],
@@ -204,7 +212,7 @@ def test_integer_sort_matches_reference_network(n):
         [-(2**63), 2**63 - 1, 0] * (n // 3) + [0] * (n % 3),
     ):
         trace = TraceRecorder()
-        order = oblivious_sort(list(range(n)), key=keys.__getitem__, trace=trace)
+        order = _order(keys, trace)
         reference_order, reference_trace = _reference(keys)
         assert order == reference_order
         assert trace.accesses == reference_trace
@@ -213,8 +221,7 @@ def test_integer_sort_matches_reference_network(n):
 @settings(max_examples=60)
 @given(st.lists(st.integers(-3, 3), max_size=40))
 def test_integer_sort_permutation_matches_reference_property(keys):
-    order = oblivious_sort(list(range(len(keys))), key=keys.__getitem__)
-    assert order == _reference(keys)[0]
+    assert _order(keys) == _reference(keys)[0]
 
 
 def test_shuffle_draws_its_tags_as_one_stream():

@@ -124,7 +124,7 @@ def test_two_owners_cannot_share_one_enclave_key():
         "t", server.catalog.table("t").spec("v"), ["a", "b"]
     )
     server.bulk_load("t", plain_columns={"n": [1, 2]}, encrypted_builds={"v": build})
-    from repro.encdict.enclave_app import encrypt_search_range
+    from repro.client.proxy import encrypt_search_range
     from repro.encdict.search import OrdinalRange
     from repro.exceptions import AuthenticationError
 
